@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-sarif test race bench bench-micro bench-json bench-guard bench-concurrency bench-drift bench-trace bench-cluster cluster-smoke obs-demo examples experiments cover
+.PHONY: all build vet lint lint-fix lint-sarif test race bench bench-micro bench-smoke bench-json bench-guard bench-concurrency bench-drift bench-trace bench-cluster cluster-smoke obs-demo examples experiments cover
 
 all: build vet lint test
 
@@ -41,10 +41,15 @@ race:
 bench:
 	$(GO) test -bench . -benchmem ./internal/experiment/... ./cmd/...
 
-# Maintenance-path micro-benchmarks: sthole drill/estimate/merge hot loops
-# and the geom kernels backing them.
+# Micro-benchmarks: sthole drill/estimate/merge hot loops, the geom kernels
+# backing them, and a MineClus run on the end-to-end benchmark's sky table.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sthole/... ./internal/geom/...
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sthole/... ./internal/geom/... ./internal/mineclus/...
+
+# The end-to-end benchmark (bench/) is a module of its own, so the root's
+# vet and tests do not reach it; this vets it and runs its smoke test.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Records the sthole micro-benchmarks in results/BENCH_sthole.json under the
 # "current" label (pass LABEL=baseline before a change to stash a baseline).

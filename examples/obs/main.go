@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"time"
 
 	"sthist"
 	"sthist/internal/datagen"
@@ -54,6 +55,10 @@ func shiftTable(tab *dataset.Table, dom geom.Rect, frac float64) *dataset.Table 
 	}
 	return out
 }
+
+// buildWait is how long the demo pauses after a drift trigger: far longer
+// than re-clustering the 2,048-point feedback cloud takes.
+const buildWait = 200 * time.Millisecond
 
 func run(w io.Writer) error {
 	// A clustered dataset and an uninitialized histogram: accuracy starts
@@ -166,6 +171,7 @@ func run(w io.Writer) error {
 		VolumeFraction: 0.01, N: 600, Seed: 8,
 	}, shifted)
 	fmt.Fprintf(w, "\ndistribution shift injected (clusters translated 30%%); drift loop armed at NAE > %.2f:\n", dcfg.NAEThreshold)
+	var triggers uint64
 	for i, q := range shiftQs {
 		body, err := json.Marshal(map[string]any{
 			"table":  ds.Name,
@@ -185,22 +191,29 @@ func run(w io.Writer) error {
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("shifted feedback round %d: status %d", i, resp.StatusCode)
 		}
+		stats, err := get(ts.URL + "/stats?table=" + ds.Name)
+		if err != nil {
+			return err
+		}
+		var st struct {
+			Drift struct {
+				State    string `json:"state"`
+				Triggers uint64 `json:"triggers"`
+				Promoted uint64 `json:"promoted"`
+				Rejected uint64 `json:"rejected"`
+			} `json:"drift"`
+		}
+		if err := json.Unmarshal([]byte(stats), &st); err != nil {
+			return err
+		}
+		// A trigger starts a background candidate build, and the round after
+		// it finishes opens probation. Let the build finish before the next
+		// round, so the outcome does not depend on how fast the build runs.
+		if st.Drift.Triggers > triggers {
+			triggers = st.Drift.Triggers
+			time.Sleep(buildWait)
+		}
 		if (i+1)%100 == 0 {
-			stats, err := get(ts.URL + "/stats?table=" + ds.Name)
-			if err != nil {
-				return err
-			}
-			var st struct {
-				Drift struct {
-					State    string `json:"state"`
-					Triggers uint64 `json:"triggers"`
-					Promoted uint64 `json:"promoted"`
-					Rejected uint64 `json:"rejected"`
-				} `json:"drift"`
-			}
-			if err := json.Unmarshal([]byte(stats), &st); err != nil {
-				return err
-			}
 			_, _, nae := rec.Rolling()
 			fmt.Fprintf(w, "  after %3d shifted rounds: NAE=%.4f drift=%s triggers=%d promoted=%d rejected=%d\n",
 				i+1, nae, st.Drift.State, st.Drift.Triggers, st.Drift.Promoted, st.Drift.Rejected)

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"sthist"
@@ -17,7 +18,8 @@ import (
 // and every transition happens in driftStepLocked, which commitBatch calls
 // once per batch. The only concurrency is the background candidate build,
 // which runs over an immutable reservoir snapshot and delivers its result
-// through buildCh (buffered, polled non-blocking by the next batch).
+// through buildCh (buffered, polled non-blocking by the next batch). builds
+// tracks that goroutine so DrainFeedback can join it.
 type driftCtl struct {
 	cfg drift.Config
 	det *drift.Detector
@@ -26,6 +28,7 @@ type driftCtl struct {
 	shadow   *drift.Shadow // non-nil exactly while a candidate is on probation
 	building bool          // a background build is in flight
 	buildCh  chan buildResult
+	builds   sync.WaitGroup
 	buildSeq int64 // perturbs the build seed so retries explore different medoids
 
 	promoted      uint64
@@ -41,6 +44,10 @@ type driftCtl struct {
 	mRejected *telemetry.Counter
 	mDuration *telemetry.Histogram
 }
+
+// buildCandidate is the re-seeder the background build runs; tests swap it
+// to hold a build in flight.
+var buildCandidate = drift.BuildCandidate
 
 // buildResult is what the background re-seeder hands back to the writer.
 type buildResult struct {
@@ -188,12 +195,26 @@ func (e *entry) startBuildLocked() {
 	seed := d.res.Seed() + d.buildSeq
 	dom := e.est.Domain()
 	st := e.est.StatsSnapshot()
-	cfg, ch := d.cfg, d.buildCh
+	cfg, ch, builds, build := d.cfg, d.buildCh, &d.builds, buildCandidate
+	builds.Add(1)
 	go func() {
+		defer builds.Done()
 		start := time.Now()
-		cand, err := drift.BuildCandidate(snap, dom, st.MaxBuckets, st.TotalTuples, cfg, seed)
+		cand, err := build(snap, dom, st.MaxBuckets, st.TotalTuples, cfg, seed)
 		ch <- buildResult{cand: cand, err: err, dur: time.Since(start)}
 	}()
+}
+
+// waitDriftBuild blocks until the table's background candidate build, if one
+// is in flight, has delivered its result. Only the writer starts builds, so
+// once the writer has exited no new one can begin.
+func (e *entry) waitDriftBuild() {
+	e.jmu.Lock()
+	d := e.drift
+	e.jmu.Unlock()
+	if d != nil {
+		d.builds.Wait()
+	}
 }
 
 // startProbationLocked receives a finished build and opens the shadow

@@ -247,6 +247,54 @@ func TestDriftRejection(t *testing.T) {
 	}
 }
 
+// TestDrainJoinsDriftBuild: DrainFeedback must not return while a background
+// candidate build is running, and once it returns the build has delivered
+// its result.
+func TestDrainJoinsDriftBuild(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	orig := buildCandidate
+	buildCandidate = func(obs []drift.Observation, dom geom.Rect, maxBuckets int, total float64, cfg drift.Config, seed int64) (*drift.Candidate, error) {
+		started <- struct{}{}
+		<-release
+		return orig(obs, dom, maxBuckets, total, cfg, seed)
+	}
+	t.Cleanup(func() { buildCandidate = orig })
+
+	est, err := sthist.Open(uniformTable(t, 1), sthist.Options{Buckets: 30, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ent := newDriftServer(t, est, nil, fastDriftConfig())
+	rng := rand.New(rand.NewSource(31))
+	for round := 1; len(started) == 0; round++ {
+		if round > 400 {
+			t.Fatalf("no candidate build within 400 rounds: %+v", ent.driftStats())
+		}
+		lo, hi := shiftedQuery(rng, 250)
+		driveRound(t, ent, lo, hi, shiftedActual(geom.MustRect(lo, hi)))
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		s.DrainFeedback()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("DrainFeedback returned while a candidate build was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("DrainFeedback did not return after the build finished")
+	}
+	if n := len(ent.drift.buildCh); n != 1 {
+		t.Fatalf("%d build results waiting after the drain, want 1", n)
+	}
+}
+
 // TestEnableDriftValidation covers the wiring preconditions.
 func TestEnableDriftValidation(t *testing.T) {
 	est, err := sthist.Open(uniformTable(t, 1), sthist.Options{Buckets: 20, Seed: 2})

@@ -76,10 +76,11 @@ func (s *Server) SetBatchWindow(d time.Duration) {
 }
 
 // DrainFeedback stops accepting feedback and blocks until every queued
-// observation has been committed (WAL-appended, applied, and acknowledged).
-// Feedback posted afterwards is answered with 503. Call between shutting
-// down the HTTP listener and the final checkpoint so the closing snapshot
-// captures the last batch. Safe to call more than once.
+// observation has been committed (WAL-appended, applied, and acknowledged)
+// and every in-flight drift candidate build has finished. Feedback posted
+// afterwards is answered with 503. Call between shutting down the HTTP
+// listener and the final checkpoint so the closing snapshot captures the
+// last batch. Safe to call more than once.
 func (s *Server) DrainFeedback() {
 	s.mu.RLock()
 	ents := make([]*entry, 0, len(s.tables))
@@ -92,6 +93,7 @@ func (s *Server) DrainFeedback() {
 	}
 	for _, ent := range ents {
 		<-ent.writerDone
+		ent.waitDriftBuild()
 	}
 }
 

@@ -16,7 +16,10 @@
 // extraction.
 package mineclus
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // fpNode is one node of the FP-tree. Children are kept in a small slice
 // (dimension alphabets are tiny) rather than a map.
@@ -45,14 +48,22 @@ type fpTree struct {
 	order   map[int]int     // item -> global insertion rank (desc frequency)
 }
 
-// newFPTree builds a tree from transactions, keeping only items with support
-// >= minSup. Transactions are slices of item ids (dimensions); order within
-// a transaction is irrelevant.
-func newFPTree(transactions [][]int, minSup int) *fpTree {
+// weightedTx is a transaction that count points share: every point whose
+// dimension set equals items. Collapsing equal transactions leaves every item
+// support, and so every mined itemset, unchanged.
+type weightedTx struct {
+	items []int
+	count int
+}
+
+// newFPTree builds a tree from weighted transactions, keeping only items with
+// support >= minSup. Transactions are slices of item ids (dimensions); order
+// within a transaction is irrelevant.
+func newFPTree(transactions []weightedTx, minSup int) *fpTree {
 	counts := make(map[int]int)
 	for _, tx := range transactions {
-		for _, it := range tx {
-			counts[it]++
+		for _, it := range tx.items {
+			counts[it] += tx.count
 		}
 	}
 	var items []int
@@ -62,11 +73,11 @@ func newFPTree(transactions [][]int, minSup int) *fpTree {
 		}
 	}
 	// Descending frequency, ties by item id for determinism.
-	sort.Slice(items, func(i, j int) bool {
-		if counts[items[i]] != counts[items[j]] {
-			return counts[items[i]] > counts[items[j]]
+	slices.SortFunc(items, func(a, b int) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
 		}
-		return items[i] < items[j]
+		return cmp.Compare(a, b)
 	})
 	order := make(map[int]int, len(items))
 	for rank, it := range items {
@@ -81,13 +92,13 @@ func newFPTree(transactions [][]int, minSup int) *fpTree {
 	buf := make([]int, 0, 16)
 	for _, tx := range transactions {
 		buf = buf[:0]
-		for _, it := range tx {
+		for _, it := range tx.items {
 			if _, ok := order[it]; ok {
 				buf = append(buf, it)
 			}
 		}
-		sort.Slice(buf, func(i, j int) bool { return order[buf[i]] < order[buf[j]] })
-		t.insert(buf, 1)
+		slices.SortFunc(buf, func(a, b int) int { return cmp.Compare(order[a], order[b]) })
+		t.insert(buf, tx.count)
 	}
 	return t
 }
@@ -149,7 +160,7 @@ func (t *fpTree) itemsByRank() []int {
 	for it := range t.counts {
 		items = append(items, it)
 	}
-	sort.Slice(items, func(i, j int) bool { return t.order[items[i]] < t.order[items[j]] })
+	slices.SortFunc(items, func(a, b int) int { return cmp.Compare(t.order[a], t.order[b]) })
 	return items
 }
 
@@ -161,9 +172,11 @@ func (t *fpTree) itemsByRank() []int {
 // r remaining candidate items is s * gain^(|X| + r); branches below the
 // incumbent are pruned.
 //
-// It returns the best itemset (ascending item ids), its support, and its mu
+// Supports count transaction weights, so a multiset of transactions and its
+// distinct members with their multiplicities give the same answer. It
+// returns the best itemset (ascending item ids), its support, and its mu
 // score; found is false when no item meets minSup.
-func bestItemset(transactions [][]int, minSup int, gain float64) (items []int, support int, score float64, found bool) {
+func bestItemset(transactions []weightedTx, minSup int, gain float64) (items []int, support int, score float64, found bool) {
 	if minSup < 1 {
 		minSup = 1
 	}
@@ -208,7 +221,7 @@ func bestItemset(transactions [][]int, minSup int, gain float64) (items []int, s
 	if !best.ok {
 		return nil, 0, 0, false
 	}
-	sort.Ints(best.items)
+	slices.Sort(best.items)
 	return best.items, best.support, best.score, true
 }
 

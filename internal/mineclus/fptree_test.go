@@ -64,6 +64,16 @@ func bruteBestItemset(transactions [][]int, minSup int, gain float64) ([]int, in
 	return bestItems, bestSup, bestScore, found
 }
 
+// unit gives every transaction count 1: the multiset as the per-row builder
+// produced it.
+func unit(transactions [][]int) []weightedTx {
+	out := make([]weightedTx, len(transactions))
+	for i, tx := range transactions {
+		out[i] = weightedTx{items: tx, count: 1}
+	}
+	return out
+}
+
 func TestBestItemsetSimple(t *testing.T) {
 	// Items {0,1} appear together 5 times, {2} appears 3 times alone.
 	var tx [][]int
@@ -73,7 +83,7 @@ func TestBestItemsetSimple(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tx = append(tx, []int{2})
 	}
-	items, sup, score, ok := bestItemset(tx, 2, 4) // gain 4 per extra dim
+	items, sup, score, ok := bestItemset(unit(tx), 2, 4) // gain 4 per extra dim
 	if !ok {
 		t.Fatal("no itemset found")
 	}
@@ -90,10 +100,10 @@ func TestBestItemsetSimple(t *testing.T) {
 
 func TestBestItemsetMinSup(t *testing.T) {
 	tx := [][]int{{0}, {0}, {1}}
-	if _, _, _, ok := bestItemset(tx, 3, 2); ok {
+	if _, _, _, ok := bestItemset(unit(tx), 3, 2); ok {
 		t.Error("itemset below minSup accepted")
 	}
-	items, sup, _, ok := bestItemset(tx, 2, 2)
+	items, sup, _, ok := bestItemset(unit(tx), 2, 2)
 	if !ok || sup != 2 || !reflect.DeepEqual(items, []int{0}) {
 		t.Errorf("items=%v sup=%d ok=%v, want [0] 2 true", items, sup, ok)
 	}
@@ -109,11 +119,11 @@ func TestBestItemsetPrefersDimensionsWithHighGain(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tx = append(tx, []int{1, 2})
 	}
-	items, _, _, _ := bestItemset(tx, 2, 1.2) // 10*1.2 = 12 > 6*1.44 = 8.6
+	items, _, _, _ := bestItemset(unit(tx), 2, 1.2) // 10*1.2 = 12 > 6*1.44 = 8.6
 	if !reflect.DeepEqual(items, []int{0}) {
 		t.Errorf("low gain: items = %v, want [0]", items)
 	}
-	items, _, _, _ = bestItemset(tx, 2, 4) // 10*4 = 40 < 6*16 = 96
+	items, _, _, _ = bestItemset(unit(tx), 2, 4) // 10*4 = 40 < 6*16 = 96
 	if !reflect.DeepEqual(items, []int{1, 2}) {
 		t.Errorf("high gain: items = %v, want [1 2]", items)
 	}
@@ -134,7 +144,7 @@ func TestBestItemsetMatchesBruteForce(t *testing.T) {
 		}
 		minSup := 1 + rng.Intn(4)
 		gain := 1.1 + rng.Float64()*5
-		gi, gs, gsc, gok := bestItemset(tx, minSup, gain)
+		gi, gs, gsc, gok := bestItemset(unit(tx), minSup, gain)
 		bi, bs, bsc, bok := bruteBestItemset(tx, minSup, gain)
 		if gok != bok {
 			t.Fatalf("trial %d: found=%v brute=%v", trial, gok, bok)
@@ -162,7 +172,7 @@ func TestQuickBestItemsetSupportIsExact(t *testing.T) {
 				}
 			}
 		}
-		items, sup, _, ok := bestItemset(tx, 2, 3)
+		items, sup, _, ok := bestItemset(unit(tx), 2, 3)
 		if !ok {
 			return true
 		}
@@ -200,5 +210,43 @@ func TestPow(t *testing.T) {
 		if got := pow(c.base, c.exp); math.Abs(got-c.want) > 1e-9*c.want {
 			t.Errorf("pow(%g,%d) = %g, want %g", c.base, c.exp, got, c.want)
 		}
+	}
+}
+
+// TestQuickWeightedMatchesExpanded: mining distinct transactions with their
+// multiplicities gives exactly the answer of mining the multiset they stand
+// for, one transaction per point.
+func TestQuickWeightedMatchesExpanded(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nItems := 1 + rng.Intn(8)
+		var weighted []weightedTx
+		var expanded [][]int
+		for mask := 0; mask < 1<<nItems; mask++ {
+			if rng.Float64() < 0.5 {
+				continue
+			}
+			var items []int
+			for it := 0; it < nItems; it++ {
+				if mask&(1<<it) != 0 {
+					items = append(items, it)
+				}
+			}
+			count := 1 + rng.Intn(6)
+			weighted = append(weighted, weightedTx{items: items, count: count})
+			for i := 0; i < count; i++ {
+				expanded = append(expanded, items)
+			}
+		}
+		// The multiset in a shuffled order, as points arrive.
+		rng.Shuffle(len(expanded), func(i, j int) { expanded[i], expanded[j] = expanded[j], expanded[i] })
+		minSup := 1 + rng.Intn(10)
+		gain := 1.1 + rng.Float64()*5
+		wi, ws, wsc, wok := bestItemset(weighted, minSup, gain)
+		ei, es, esc, eok := bestItemset(unit(expanded), minSup, gain)
+		return wok == eok && reflect.DeepEqual(wi, ei) && ws == es && math.Float64bits(wsc) == math.Float64bits(esc)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -3,8 +3,10 @@ package mineclus
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -139,7 +141,6 @@ func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 	if len(cfg.Widths) > 0 && len(cfg.Widths) != tab.Dims() {
 		return nil, fmt.Errorf("mineclus: %d per-dimension widths for a %d-dimensional table", len(cfg.Widths), tab.Dims())
 	}
-	dims := tab.Dims()
 	minSup := int(math.Ceil(cfg.Alpha * float64(n)))
 	if minSup < 2 {
 		minSup = 2
@@ -147,31 +148,37 @@ func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 	gain := 1 / cfg.Beta
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	cols := make([][]float64, tab.Dims())
+	for d := range cols {
+		cols[d] = tab.Column(d)
+	}
 	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
 	}
+	removed := make([]bool, n)
+	points := n
+	if cfg.MaxTransactions > 0 && cfg.MaxTransactions < n {
+		points = cfg.MaxTransactions
+	}
+	buf := newBuffers(len(cols), points, min(runtime.NumCPU(), cfg.MedoidSamples))
 	var clusters []Cluster
-	row := make([]float64, dims)
-	medoid := make([]float64, dims)
-
 	for len(remaining) >= minSup {
 		if cfg.MaxClusters > 0 && len(clusters) >= cfg.MaxClusters {
 			break
 		}
-		best, ok := bestClusterAround(tab, remaining, cfg, minSup, gain, rng, row, medoid)
+		best, ok := bestClusterAround(cols, remaining, cfg, minSup, gain, rng, buf)
 		if !ok {
 			break
 		}
 		clusters = append(clusters, best)
 		// Remove the cluster's rows from the remaining set.
-		inCluster := make(map[int]bool, len(best.Rows))
 		for _, r := range best.Rows {
-			inCluster[r] = true
+			removed[r] = true
 		}
 		kept := remaining[:0]
 		for _, r := range remaining {
-			if !inCluster[r] {
+			if !removed[r] {
 				kept = append(kept, r)
 			}
 		}
@@ -181,13 +188,33 @@ func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 	return clusters, nil
 }
 
+// buffers are the allocations every extraction round of one Run reuses.
+type buffers struct {
+	txCols   [][]float64  // the round's transaction subsample, column by column
+	builders []*txBuilder // one per trial worker
+}
+
+func newBuffers(dims, points, workers int) *buffers {
+	b := &buffers{txCols: make([][]float64, dims), builders: make([]*txBuilder, workers)}
+	for d := range b.txCols {
+		b.txCols[d] = make([]float64, 0, points)
+	}
+	for w := range b.builders {
+		b.builders[w] = newTxBuilder(points, dims)
+	}
+	return b
+}
+
 // bestClusterAround samples medoids from remaining and returns the best
-// cluster found, materialized with its member rows and bounding box.
-func bestClusterAround(tab *dataset.Table, remaining []int, cfg Config, minSup int, gain float64, rng *rand.Rand, row, medoid []float64) (Cluster, bool) {
-	dims := tab.Dims()
+// cluster found, materialized with its member rows and bounding box. cols
+// are the table's columns; minSup is the cluster-size threshold ceil(alpha*n)
+// on the full table.
+func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int, gain float64, rng *rand.Rand, buf *buffers) (Cluster, bool) {
+	dims := len(cols)
 	// Choose the transaction subsample once per extraction round so every
 	// medoid trial sees the same points (fair comparison of mu scores).
 	txRows := remaining
+	txMinSup := minSup
 	if cfg.MaxTransactions > 0 && len(remaining) > cfg.MaxTransactions {
 		perm := rng.Perm(len(remaining))[:cfg.MaxTransactions]
 		txRows = make([]int, cfg.MaxTransactions)
@@ -195,9 +222,18 @@ func bestClusterAround(tab *dataset.Table, remaining []int, cfg Config, minSup i
 			txRows[i] = remaining[j]
 		}
 		// Scale the support threshold to the subsample.
-		minSup = int(math.Ceil(float64(minSup) * float64(cfg.MaxTransactions) / float64(len(remaining))))
-		if minSup < 2 {
-			minSup = 2
+		txMinSup = int(math.Ceil(float64(minSup) * float64(cfg.MaxTransactions) / float64(len(remaining))))
+		if txMinSup < 2 {
+			txMinSup = 2
+		}
+	}
+	// Gather the subsample column by column, so each trial's dimension masks
+	// come from sequential scans.
+	txCols := buf.txCols
+	for d, col := range cols {
+		txCols[d] = txCols[d][:len(txRows)]
+		for i, r := range txRows {
+			txCols[d][i] = col[r]
 		}
 	}
 
@@ -216,40 +252,22 @@ func bestClusterAround(tab *dataset.Table, remaining []int, cfg Config, minSup i
 		ok     bool
 	}
 	results := make([]trialResult, cfg.MedoidSamples)
-	workers := runtime.NumCPU()
-	if workers > cfg.MedoidSamples {
-		workers = cfg.MedoidSamples
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	var wg sync.WaitGroup
 	trialCh := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, b := range buf.builders {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rowBuf := make([]float64, dims)
-			medoidBuf := make([]float64, dims)
-			transactions := make([][]int, len(txRows))
-			txBuf := make([]int, 0, dims)
 			for trial := range trialCh {
-				copy(medoidBuf, tab.Row(medoidRows[trial], medoidBuf))
-				for i, r := range txRows {
-					tab.Row(r, rowBuf)
-					txBuf = txBuf[:0]
-					for d := 0; d < dims; d++ {
-						if math.Abs(rowBuf[d]-medoidBuf[d]) <= cfg.widthFor(d) {
-							txBuf = append(txBuf, d)
-						}
-					}
-					transactions[i] = append(transactions[i][:0], txBuf...)
+				medoid := make(geom.Point, dims)
+				for d, col := range cols {
+					medoid[d] = col[medoidRows[trial]]
 				}
-				items, _, score, ok := bestItemset(transactions, minSup, gain)
+				items, _, score, ok := bestItemset(b.build(txCols, medoid, &cfg), txMinSup, gain)
 				if !ok || len(items) < cfg.MinDims {
 					continue
 				}
-				results[trial] = trialResult{items: items, score: score, medoid: geom.Point(medoidBuf).Clone(), ok: true}
+				results[trial] = trialResult{items: items, score: score, medoid: medoid, ok: true}
 			}
 		}()
 	}
@@ -282,10 +300,9 @@ func bestClusterAround(tab *dataset.Table, remaining []int, cfg Config, minSup i
 	// on every relevant dimension.
 	var rows []int
 	for _, r := range remaining {
-		tab.Row(r, row)
 		member := true
 		for _, d := range bestDims {
-			if math.Abs(row[d]-bestMedoid[d]) > cfg.widthFor(d) {
+			if math.Abs(cols[d][r]-bestMedoid[d]) > cfg.widthFor(d) {
 				member = false
 				break
 			}
@@ -294,22 +311,22 @@ func bestClusterAround(tab *dataset.Table, remaining []int, cfg Config, minSup i
 			rows = append(rows, r)
 		}
 	}
+	// The size threshold is alpha*n on the full table, not the subsample's
+	// scaled support.
 	if len(rows) < minSup {
 		return Cluster{}, false
 	}
 	// Tight bounding box over the members.
 	lo := make(geom.Point, dims)
 	hi := make(geom.Point, dims)
-	tab.Row(rows[0], lo)
-	copy(hi, lo)
-	for _, r := range rows[1:] {
-		tab.Row(r, row)
-		for d := 0; d < dims; d++ {
-			if row[d] < lo[d] {
-				lo[d] = row[d]
+	for d, col := range cols {
+		lo[d], hi[d] = col[rows[0]], col[rows[0]]
+		for _, r := range rows[1:] {
+			if col[r] < lo[d] {
+				lo[d] = col[r]
 			}
-			if row[d] > hi[d] {
-				hi[d] = row[d]
+			if col[r] > hi[d] {
+				hi[d] = col[r]
 			}
 		}
 	}
@@ -320,4 +337,93 @@ func bestClusterAround(tab *dataset.Table, remaining []int, cfg Config, minSup i
 		Medoid: bestMedoid,
 		Score:  float64(len(rows)) * pow(gain, len(bestDims)),
 	}, true
+}
+
+// txBuilder turns one medoid trial's subsample into FP-tree input. A point's
+// transaction is its dimension set { d : |q_d - p_d| <= w_d }, kept as a
+// bitmask of `words` uint64s (bit d%64 of word d/64, so any dimensionality
+// fits). Points with equal masks are collapsed into one weighted
+// transaction, which leaves at most min(T, 2^d) distinct transactions for T
+// points. A builder is reused across the trials of one worker.
+type txBuilder struct {
+	words int
+	masks []uint64 // words per point
+	// slots is an open-addressing hash table over the distinct masks: slot
+	// value k+1 refers to txs[k], 0 is empty. used lists the filled slots so
+	// a reset touches only those.
+	slots []int32
+	used  []int
+	shift uint  // 64 - log2(len(slots)): hashes keep their top bits
+	first []int // offset in masks of each distinct mask's first point
+	txs   []weightedTx
+	items []int // backing array for the itemsets of txs
+}
+
+// newTxBuilder sizes a builder for rounds of up to points transactions.
+func newTxBuilder(points, dims int) *txBuilder {
+	words := (dims + 63) / 64
+	size := 1 << bits.Len(uint(2*points)) // load factor <= 1/2
+	return &txBuilder{
+		words: words,
+		masks: make([]uint64, 0, points*words),
+		slots: make([]int32, size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+	}
+}
+
+// build returns the distinct transactions of the points in txCols around
+// medoid, in order of first occurrence, with their multiplicities. The
+// result is valid until the next call.
+func (b *txBuilder) build(txCols [][]float64, medoid []float64, cfg *Config) []weightedTx {
+	b.masks = b.masks[:len(txCols[0])*b.words]
+	clear(b.masks)
+	for d, col := range txCols {
+		m, w := medoid[d], cfg.widthFor(d)
+		masks, bit := b.masks[d/64:], uint64(1)<<(d%64)
+		for i, v := range col {
+			var set uint64
+			if math.Abs(v-m) <= w {
+				set = bit
+			}
+			masks[i*b.words] |= set
+		}
+	}
+	for _, j := range b.used {
+		b.slots[j] = 0
+	}
+	b.used, b.first, b.txs = b.used[:0], b.first[:0], b.txs[:0]
+	for off := 0; off < len(b.masks); off += b.words {
+		mask := b.masks[off : off+b.words]
+		var h uint64
+		for _, x := range mask {
+			h = (h ^ x) * 0x9e3779b97f4a7c15
+		}
+		for j := int(h >> b.shift); ; j = (j + 1) & (len(b.slots) - 1) {
+			k := int(b.slots[j]) - 1
+			if k < 0 {
+				b.slots[j] = int32(len(b.txs) + 1)
+				b.used = append(b.used, j)
+				b.first = append(b.first, off)
+				b.txs = append(b.txs, weightedTx{count: 1})
+				break
+			}
+			if slices.Equal(b.masks[b.first[k]:b.first[k]+b.words], mask) {
+				b.txs[k].count++
+				break
+			}
+		}
+	}
+	// Expand each distinct mask into its ascending dimension list. The
+	// backing array is grown up front, so the slices handed out stay valid.
+	b.items = slices.Grow(b.items[:0], len(b.txs)*len(txCols))
+	for k, off := range b.first {
+		start := len(b.items)
+		for d := range txCols {
+			if b.masks[off+d/64]&(1<<(d%64)) != 0 {
+				b.items = append(b.items, d)
+			}
+		}
+		b.txs[k].items = b.items[start:]
+	}
+	return b.txs
 }

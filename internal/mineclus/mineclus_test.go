@@ -1,6 +1,7 @@
 package mineclus
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -115,40 +116,59 @@ func TestRunFindsSubspaceCluster(t *testing.T) {
 
 func TestRunClusterInvariants(t *testing.T) {
 	ds := datagen.Gauss(0.02, 5) // 2,200 tuples
-	cfg := Config{Alpha: 0.02, Beta: 0.25, Width: 80, MedoidSamples: 15, Seed: 3}
-	clusters, err := Run(ds.Table, cfg)
-	if err != nil {
-		t.Fatal(err)
+	base := Config{Alpha: 0.02, Beta: 0.25, Width: 80, MedoidSamples: 15, Seed: 3}
+	cases := []Config{base}
+	// Subsampled rounds mine with the support threshold scaled down to the
+	// subsample, but every cluster must still hold alpha*n rows of the table.
+	for seed := int64(1); seed <= 6; seed++ {
+		cfg := base
+		cfg.MaxTransactions, cfg.Seed = 400, seed
+		cases = append(cases, cfg)
 	}
-	if len(clusters) == 0 {
-		t.Fatal("no clusters found on Gauss")
-	}
-	minSup := int(math.Ceil(cfg.Alpha * float64(ds.Table.Len())))
-	seen := map[int]bool{}
-	for ci, c := range clusters {
-		if len(c.Rows) < minSup {
-			t.Errorf("cluster %d has %d rows < alpha*n = %d", ci, len(c.Rows), minSup)
-		}
-		if len(c.Dims) < 1 {
-			t.Errorf("cluster %d has no relevant dimensions", ci)
-		}
-		for _, r := range c.Rows {
-			if seen[r] {
-				t.Fatalf("row %d assigned to two clusters", r)
+	minSup := int(math.Ceil(base.Alpha * float64(ds.Table.Len())))
+	sampled := 0 // clusters the subsampled runs returned
+	for _, cfg := range cases {
+		t.Run(fmt.Sprintf("tx=%d/seed=%d", cfg.MaxTransactions, cfg.Seed), func(t *testing.T) {
+			clusters, err := Run(ds.Table, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[r] = true
-			// Every member is inside the cluster box.
-			p := ds.Table.Point(r)
-			if !c.Box.ContainsPoint(p) {
-				t.Fatalf("cluster %d: member %d outside box", ci, r)
+			if len(clusters) == 0 && cfg.MaxTransactions == 0 {
+				t.Fatal("no clusters found on Gauss")
 			}
-			// And within Width of the medoid on relevant dims.
-			for _, d := range c.Dims {
-				if math.Abs(p[d]-c.Medoid[d]) > cfg.Width+1e-9 {
-					t.Fatalf("cluster %d: member %d further than width on dim %d", ci, r, d)
+			if cfg.MaxTransactions > 0 {
+				sampled += len(clusters)
+			}
+			seen := map[int]bool{}
+			for ci, c := range clusters {
+				if len(c.Rows) < minSup {
+					t.Errorf("cluster %d has %d rows < alpha*n = %d", ci, len(c.Rows), minSup)
+				}
+				if len(c.Dims) < 1 {
+					t.Errorf("cluster %d has no relevant dimensions", ci)
+				}
+				for _, r := range c.Rows {
+					if seen[r] {
+						t.Fatalf("row %d assigned to two clusters", r)
+					}
+					seen[r] = true
+					// Every member is inside the cluster box.
+					p := ds.Table.Point(r)
+					if !c.Box.ContainsPoint(p) {
+						t.Fatalf("cluster %d: member %d outside box", ci, r)
+					}
+					// And within Width of the medoid on relevant dims.
+					for _, d := range c.Dims {
+						if math.Abs(p[d]-c.Medoid[d]) > cfg.Width+1e-9 {
+							t.Fatalf("cluster %d: member %d further than width on dim %d", ci, r, d)
+						}
+					}
 				}
 			}
-		}
+		})
+	}
+	if sampled == 0 {
+		t.Error("the subsampled runs found no clusters; the sweep checks nothing")
 	}
 }
 
@@ -210,5 +230,22 @@ func TestRunSubsampledTransactions(t *testing.T) {
 	}
 	if len(clusters) == 0 {
 		t.Error("subsampled run found no clusters")
+	}
+}
+
+// BenchmarkRun times one MineClus run on the sky table sthist.Open
+// initializes from in the end-to-end benchmark: SkySim(0.02), 34,942 rows by
+// 7 dimensions, with Open's default per-dimension widths (6% of each extent).
+func BenchmarkRun(b *testing.B) {
+	tab := datagen.SkySim(0.02, 1).Table
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	cfg.Width, cfg.Widths = 0, openWidths(b, tab)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(tab, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
