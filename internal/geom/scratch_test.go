@@ -71,7 +71,9 @@ func TestIntoVariantsAliasing(t *testing.T) {
 }
 
 // TestIntoVariantsZeroAlloc: with a warmed destination the kernels must not
-// allocate — this is the invariant the sthole drill loop depends on.
+// allocate — this is the invariant the sthole drill loop depends on. Every
+// kernel the drill and estimate paths call gets its own case, so an
+// allocation in any one of them fails this package's tests directly.
 func TestIntoVariantsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	r := randRect(rng, 4)
@@ -80,17 +82,22 @@ func TestIntoVariantsZeroAlloc(t *testing.T) {
 	var dst Rect
 	r.CopyInto(&dst) // warm the scratch
 
-	if allocs := testing.AllocsPerRun(100, func() { over.IntersectInto(s, &dst) }); allocs != 0 {
-		t.Errorf("IntersectInto allocates %g times, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { r.EncloseInto(s, &dst) }); allocs != 0 {
-		t.Errorf("EncloseInto allocates %g times, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { over.ShrinkInto(s, &dst) }); allocs != 0 {
-		t.Errorf("ShrinkInto allocates %g times, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { r.CopyInto(&dst) }); allocs != 0 {
-		t.Errorf("CopyInto allocates %g times, want 0", allocs)
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"IntersectInto", func() { over.IntersectInto(s, &dst) }},
+		{"EncloseInto", func() { r.EncloseInto(s, &dst) }},
+		{"ShrinkInto", func() { over.ShrinkInto(s, &dst) }},
+		{"CopyInto", func() { r.CopyInto(&dst) }},
+		{"Intersects", func() { over.Intersects(s) }},
+		{"IntersectsOpen", func() { over.IntersectsOpen(s) }},
+		{"IntersectionVolume", func() { over.IntersectionVolume(s) }},
+		{"volumeWithSide", func() { over.volumeWithSide(1, 0.5) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, k.run); allocs != 0 {
+			t.Errorf("%s allocates %g times, want 0", k.name, allocs)
+		}
 	}
 }
 
