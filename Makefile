@@ -14,20 +14,20 @@ vet:
 
 # Repo-specific static analysis over every package (see DESIGN.md "Static
 # analysis & enforced invariants"): the typed sthlint driver with the
-# noalloc, lockcheck, lockorder, determinism, errflow, walorder, ctxflow,
-# leakcheck, publish and spanend analyzers. Exits non-zero on any finding
-# that is neither ignored in source nor recorded in the committed baseline.
+# lockcheck, determinism, errflow, walorder, ctxflow, leakcheck, publish and
+# spanend analyzers. Exits non-zero on any finding not ignored in source.
 lint:
-	$(GO) run ./cmd/sthlint -baseline .sthlint-baseline.json ./...
+	$(GO) run ./cmd/sthlint ./...
 
 # Applies the suggested fixes (error discards, deferred closes, span End,
 # traceparent injection) in place, then re-lints the changed tree.
 lint-fix:
-	$(GO) run ./cmd/sthlint -baseline .sthlint-baseline.json -fix ./...
+	$(GO) run ./cmd/sthlint -fix ./...
 
-# Writes the SARIF 2.1.0 report CI uploads for code-scanning annotations.
+# The lint gate CI runs: findings as text on stdout, plus the SARIF 2.1.0
+# report CI uploads for code-scanning annotations.
 lint-sarif:
-	$(GO) run ./cmd/sthlint -baseline .sthlint-baseline.json -sarif sthlint.sarif ./...
+	$(GO) run ./cmd/sthlint -sarif sthlint.sarif ./...
 
 test:
 	$(GO) test ./...
@@ -61,7 +61,7 @@ bench-json:
 # 5% of the uninstrumented one on the Drill@250 workload. benchjson keeps the
 # MIN ns/op across -count repeats, so transient machine noise does not fail
 # the gate. Results land in results/BENCH_telemetry.json for trending.
-bench-guard: vet lint
+bench-guard:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_telemetry.json \
 		-pkg . -bench 'BenchmarkFeedbackRound$$' -benchtime 2x -count 6 \
 		-guard-base 'BenchmarkFeedbackRound/telemetry=off' \
@@ -94,9 +94,8 @@ bench-concurrency:
 
 # Drift overhead guard: a drift-enabled table whose workload is NOT drifting
 # must pay < 5% on the feedback path for the detector tick + reservoir sample
-# it runs per commit. Results land in results/BENCH_drift.json. sthlint runs
-# in the same step so the drift code stays inside the repo's invariants.
-bench-drift: lint
+# it runs per commit. Results land in results/BENCH_drift.json.
+bench-drift:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_drift.json \
 		-pkg ./internal/httpapi -bench 'BenchmarkFeedbackDrift$$' -benchtime 300x -count 6 \
 		-guard-base 'BenchmarkFeedbackDrift/drift=off' \
@@ -106,9 +105,8 @@ bench-drift: lint
 # Tracing overhead guard: always-on tracing (sample rate 1 — the worst case;
 # production head-samples a fraction) must cost < 5% on the feedback hot path
 # for the root span, queue-wait child, per-batch stage spans and ring flush.
-# Results land in results/BENCH_trace.json. sthlint rides along so the spanend
-# lifecycle check gates the same step.
-bench-trace: lint
+# Results land in results/BENCH_trace.json.
+bench-trace:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_trace.json \
 		-pkg ./internal/httpapi -bench 'BenchmarkFeedbackTrace$$' -benchtime 300x -count 6 \
 		-guard-base 'BenchmarkFeedbackTrace/trace=off' \
@@ -121,7 +119,7 @@ bench-trace: lint
 # service-time floor (see internal/cluster/bench_test.go for why the raw
 # loopback numbers are recorded but not gated). Results land in
 # results/BENCH_cluster.json.
-bench-cluster: lint
+bench-cluster:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_cluster.json \
 		-pkg ./internal/cluster -bench 'BenchmarkProxyOverhead$$' -benchtime 1x -count 4 \
 		-guard-metric-bench 'BenchmarkProxyOverhead' \

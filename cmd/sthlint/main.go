@@ -3,17 +3,15 @@
 //
 // Usage:
 //
-//	sthlint [-json] [-sarif out.sarif] [-baseline file] [-write-baseline file]
-//	        [-fix] [-dir d] [packages...]
+//	sthlint [-sarif out.sarif] [-fix] [-dir d] [-checks] [packages...]
 //
-// With no patterns it analyzes ./.... A -baseline file subtracts the
-// committed ledger of known findings, so only NEW violations fail the run;
-// -write-baseline regenerates that ledger. -fix applies every suggested fix
-// to disk and re-runs the suite over the patched tree. -sarif additionally
-// writes a SARIF 2.1.0 artifact for GitHub code-scanning annotations.
+// With no patterns it analyzes ./.... Findings print one per line as
+// file:line:col: [check] message. -fix applies every suggested fix to disk
+// and re-runs the suite over the patched tree. -sarif additionally writes a
+// SARIF 2.1.0 artifact for GitHub code-scanning annotations.
 //
-// Exit status is 0 when clean (after baseline subtraction), 1 when
-// diagnostics were reported, 2 when loading or type-checking failed.
+// Exit status is 0 when clean, 1 when diagnostics were reported, 2 when
+// loading or type-checking failed.
 package main
 
 import (
@@ -26,10 +24,7 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (CI annotation format)")
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
-	baselinePath := flag.String("baseline", "", "subtract the findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write the current findings to this baseline file and exit clean")
 	fix := flag.Bool("fix", false, "apply suggested fixes to disk, then re-run over the patched tree")
 	dir := flag.String("dir", "", "directory to run the go command in (default: current directory)")
 	list := flag.Bool("checks", false, "list the registered analyzers and exit")
@@ -46,16 +41,6 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "sthlint:", err)
 		os.Exit(2)
-	}
-	root := *dir
-	if root == "" {
-		var err error
-		if root, err = os.Getwd(); err != nil {
-			fail(err)
-		}
-	}
-	if abs, err := filepath.Abs(root); err == nil {
-		root = abs
 	}
 
 	run := func() []lint.Diagnostic {
@@ -78,26 +63,17 @@ func main() {
 		}
 	}
 
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, root, diags); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "sthlint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fail(err)
-		}
-		var stale int
-		diags, stale = base.Filter(root, diags)
-		if stale > 0 {
-			fmt.Fprintf(os.Stderr, "sthlint: %d baseline entr(ies) no longer match; regenerate %s to burn them down\n", stale, *baselinePath)
-		}
-	}
-
 	if *sarifOut != "" {
+		root := *dir
+		if root == "" {
+			var err error
+			if root, err = os.Getwd(); err != nil {
+				fail(err)
+			}
+		}
+		if abs, err := filepath.Abs(root); err == nil {
+			root = abs
+		}
 		f, err := os.Create(*sarifOut)
 		if err != nil {
 			fail(err)
@@ -111,19 +87,11 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fail(err)
-		}
-	} else {
-		if err := lint.WriteText(os.Stdout, diags); err != nil {
-			fail(err)
-		}
+	if err := lint.WriteText(os.Stdout, diags); err != nil {
+		fail(err)
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "sthlint: %d diagnostic(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "sthlint: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -5,8 +5,8 @@ import "testing"
 // These tests pin ShrinkInto's behavior on the degenerate geometries the
 // drill loop produces at bucket boundaries — zero-volume rectangles, cutters
 // that fully contain the candidate, and cuts that collapse a dimension to a
-// point — and assert that every one of them upholds the //sthlint:noalloc
-// contract with a warmed destination.
+// point — and assert that every one of them stays allocation-free with a
+// warmed destination.
 
 // shrinkAllocs runs r.ShrinkInto(cutter, dst) with warmed scratch and
 // returns the steady-state allocation count.

@@ -2,11 +2,12 @@
 // at compile-shape level, the invariants the rest of the codebase only states
 // in comments:
 //
-//   - noalloc: functions annotated //sthlint:noalloc (the geometry kernels
-//     and the steady-state feedback path) must not contain constructs that
-//     heap-allocate on every call.
 //   - lockcheck: struct fields annotated "guarded by <mu>" may only be
-//     accessed while <mu> is definitely held (RLock suffices for reads).
+//     accessed while <mu> is definitely held (RLock suffices for reads); the
+//     lock-acquisition graph built from observed Lock orderings (including
+//     through calls, cross-package via facts) must stay acyclic, locks must
+//     not be re-acquired while held, and every mutex field must name what
+//     it guards.
 //   - determinism: histogram mutation, WAL emission and data output must not
 //     be driven by map iteration order, and the pure estimation packages
 //     must not read wall-clock time or the global math/rand source.
@@ -32,11 +33,6 @@
 //     or channel receive, a WaitGroup joined in the package, a bounded
 //     buffered-send body, or a server with a Shutdown path — and shutdown
 //     methods must actually block on the goroutine's exit.
-//   - lockorder: the lock-acquisition graph built from guarded-by
-//     annotations plus observed Lock orderings (including through calls,
-//     cross-package via facts) must stay acyclic, locks must not be
-//     re-acquired while held, and every mutex field must name what it
-//     guards.
 //
 // The suite is stdlib-only: packages are parsed with go/parser and
 // type-checked with go/types against export data obtained from the go
@@ -56,7 +52,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -158,8 +153,8 @@ func (p *Pass) diag(check string, pos token.Pos, fix *SuggestedFix, format strin
 // Analyzers returns the full suite in its canonical order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoAlloc(), LockCheck(), Determinism(), ErrFlow(), Publish(), SpanEnd(),
-		WALOrder(), CtxFlow(), LeakCheck(), LockOrder(),
+		LockCheck(), Determinism(), ErrFlow(), Publish(), SpanEnd(),
+		WALOrder(), CtxFlow(), LeakCheck(),
 	}
 }
 
@@ -288,16 +283,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// WriteJSON renders diagnostics as a JSON array (CI annotation format).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
-}
-
 // WriteText renders diagnostics one per line.
 func WriteText(w io.Writer, diags []Diagnostic) error {
 	for _, d := range diags {
@@ -309,31 +294,6 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 }
 
 // --- shared helpers used by several analyzers ---
-
-// funcDirective reports whether fn's doc comment carries the given
-// //sthlint:<name> marker.
-func funcDirective(fn *ast.FuncDecl, name string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	marker := "//sthlint:" + name
-	for _, c := range fn.Doc.List {
-		if strings.TrimSpace(c.Text) == marker {
-			return true
-		}
-	}
-	return false
-}
-
-// isInterface reports whether t's underlying type is a non-empty-or-empty
-// interface (i.e. any interface).
-func isInterface(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Interface)
-	return ok
-}
 
 // namedTypeIn reports whether t (after pointer stripping) is a named type
 // with the given name whose package has the given package name.

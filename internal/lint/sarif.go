@@ -3,6 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
 )
 
 // SARIF 2.1.0 output, the interchange format GitHub code scanning ingests to
@@ -68,7 +69,7 @@ type sarifRegion struct {
 
 // WriteSARIF renders diags as one SARIF 2.1.0 run. root relativizes file
 // paths; analyzers supplies the rule metadata (every registered check appears
-// as a rule even when clean, so code-scanning dashboards track all ten).
+// as a rule even when clean, so code-scanning dashboards track all of them).
 func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnostic) error {
 	rules := make([]sarifRule, 0, len(analyzers)+1)
 	for _, a := range analyzers {
@@ -102,4 +103,17 @@ func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnos
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&log)
+}
+
+// RelFile renders file relative to root with forward slashes (the form SARIF
+// artifacts store, stable across machines).
+func RelFile(root, file string) string {
+	if root == "" {
+		return filepath.ToSlash(file)
+	}
+	rel, err := filepath.Rel(root, file)
+	if err != nil {
+		return filepath.ToSlash(file)
+	}
+	return filepath.ToSlash(rel)
 }

@@ -1,72 +1,12 @@
 // Package geom is a lint fixture mimicking sthist's pure geometry package.
-// Its package name places it in the determinism analyzer's pure set, and its
-// annotated functions exercise every noalloc rule. Lines carrying a
-// "// want <check>" comment must produce exactly that diagnostic.
+// Its package name places it in the determinism analyzer's pure set. Lines
+// carrying a "// want <check>" comment must produce exactly that diagnostic.
 package geom
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 )
-
-// Rect is a minimal stand-in for the real geometry kernel's rectangle.
-type Rect struct {
-	Lo, Hi []float64
-}
-
-// GoodKernel is the known-good shape: index writes into preallocated
-// scratch, no allocating construct anywhere.
-//
-//sthlint:noalloc
-func GoodKernel(r, s Rect, dst *Rect) bool {
-	for d := range r.Lo {
-		if s.Hi[d] < r.Lo[d] || s.Lo[d] > r.Hi[d] {
-			return false
-		}
-	}
-	for d := range r.Lo {
-		dst.Lo[d] = max(r.Lo[d], s.Lo[d])
-		dst.Hi[d] = min(r.Hi[d], s.Hi[d])
-	}
-	return true
-}
-
-// BadKernelAllocs is the regression fixture for "an allocation inside a
-// noalloc geom kernel": every allocating construct the contract bans.
-//
-//sthlint:noalloc
-func BadKernelAllocs(r Rect) Rect {
-	out := Rect{}                       // want noalloc
-	out.Lo = make([]float64, len(r.Lo)) // want noalloc
-	out.Hi = append(out.Hi, r.Hi...)    // want noalloc
-	f := func() {}                      // want noalloc
-	f()
-	return out
-}
-
-// BadKernelBoxing exercises the interface-conversion rules.
-//
-//sthlint:noalloc
-func BadKernelBoxing(r Rect) {
-	var sink any
-	sink = r.Lo[0] // want noalloc
-	_ = sink
-	_ = fmt.Sprint(r.Lo[0], r.Hi[0]) // want noalloc noalloc noalloc
-}
-
-// BadKernelStrings exercises the string-allocation rules.
-//
-//sthlint:noalloc
-func BadKernelStrings(name string, raw []byte) string {
-	s := string(raw) // want noalloc
-	return name + s  // want noalloc
-}
-
-// UnannotatedMayAllocate shows the marker is opt-in: no diagnostics here.
-func UnannotatedMayAllocate(n int) []float64 {
-	return make([]float64, n)
-}
 
 // ClockUser reads ambient entropy inside a pure package.
 func ClockUser() (time.Time, float64) {
