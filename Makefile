@@ -131,7 +131,8 @@ bench-cluster:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-# Observability walkthrough: rolling NAE decay + /metrics + /debug/trace.
+# Observability walkthrough: rolling NAE decay + /metrics + round detail on
+# feedback.apply spans from /debug/trace/spans + a drift promotion.
 obs-demo:
 	$(GO) run ./examples/obs
 

@@ -9,7 +9,7 @@
 //	sthist -exp table2 -buckets 50,100,250
 //	sthist -all                             # every experiment at the default scale
 //	sthist -exp fig11 -cpuprofile cpu.out -memprofile mem.out   # profile a run
-//	sthist -trace 20                        # traced Cross session, dump last 20 flight-recorder events
+//	sthist -trace 20                        # instrumented Cross session, dump the last 20 rounds
 package main
 
 import (
@@ -51,7 +51,7 @@ func run(args []string) error {
 		outPath = fs.String("out", "", "also write results to this file")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile after the run to this file")
-		trace   = fs.Int("trace", 0, "run a telemetry-instrumented Cross session and dump the last N flight-recorder events as JSON lines")
+		trace   = fs.Int("trace", 0, "run a telemetry-instrumented Cross session and dump the last N feedback rounds as JSON lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -133,9 +133,10 @@ func run(args []string) error {
 	}
 }
 
-// runTrace drives a Cross feedback session with the flight recorder attached
-// and dumps the last n trace events as JSON lines, followed by the rolling
-// accuracy and latency quantiles the recorder accumulated.
+// runTrace drives a Cross feedback session with a recorder attached and
+// FeedbackBatch reporting every round's detail, then dumps the last n rounds
+// as JSON lines, oldest first, followed by the rolling accuracy and latency
+// quantiles the recorder accumulated.
 func runTrace(n int, cfg experiment.Config, w io.Writer) error {
 	ds := datagen.Cross(cfg.Scale, cfg.Seed)
 	est, err := sthist.Open(ds.Table, sthist.Options{Buckets: cfg.Buckets[len(cfg.Buckets)-1], Seed: cfg.Seed})
@@ -152,15 +153,22 @@ func runTrace(n int, cfg experiment.Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, q := range queries {
-		if err := est.Feedback(q, est.TrueCount(q)); err != nil {
+	n = min(n, len(queries))
+	last := make([]sthist.Round, n) // the newest n rounds, round i in slot i%n
+	for i, q := range queries {
+		obs := []sthist.Observation{{Query: q, Actual: est.TrueCount(q), Round: &last[i%n]}}
+		if err := est.FeedbackBatch(obs)[0]; err != nil {
 			return err
 		}
 	}
 
 	enc := json.NewEncoder(w)
-	for _, ev := range rec.Last(n) {
-		if err := enc.Encode(ev); err != nil {
+	for i := len(queries) - n; i < len(queries); i++ {
+		line := struct {
+			Seq int `json:"seq"`
+			sthist.Round
+		}{i, last[i%n]}
+		if err := enc.Encode(line); err != nil {
 			return err
 		}
 	}

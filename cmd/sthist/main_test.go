@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,5 +87,41 @@ func TestRunOutFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Cross3d") {
 		t.Errorf("output file missing results: %s", data)
+	}
+}
+
+// TestRunTrace runs -trace 5 on a small Cross session: five JSON round
+// lines, oldest first, each with the round's query, truth and maintenance
+// counts, then the rolling summary.
+func TestRunTrace(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.txt")
+	if err := run([]string{"-trace", "5", "-scale", "0.01", "-train", "40", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("got %d lines, want 5 rounds + summary:\n%s", len(lines), data)
+	}
+	for i, line := range lines[:5] {
+		var r struct {
+			Seq    int `json:"seq"`
+			Query  struct{ Lo, Hi []float64 }
+			Actual *float64 `json:"actual"`
+			Drills *int     `json:"drills"`
+			Ns     int64    `json:"ns"`
+		}
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("line %d: %v: %s", i, err, line)
+		}
+		if r.Seq != 35+i || len(r.Query.Lo) != 2 || r.Actual == nil || r.Drills == nil || r.Ns <= 0 {
+			t.Errorf("line %d: incomplete round %s", i, line)
+		}
+	}
+	if !strings.HasPrefix(lines[5], "# ") || !strings.Contains(lines[5], "40 rounds traced") || !strings.Contains(lines[5], "NAE=") {
+		t.Errorf("summary line = %q", lines[5])
 	}
 }

@@ -154,12 +154,12 @@ func setup(args []string) (*daemon, error) {
 		"maximum observations per feedback group commit")
 	batchWindow := fs.Duration("batch-window", 0,
 		"how long the feedback writer waits for stragglers before committing a batch (0 = commit immediately)")
-	telemetryOn := fs.Bool("telemetry", true, "enable metrics, flight recorder and rolling accuracy tracking")
+	telemetryOn := fs.Bool("telemetry", true, "enable metrics and rolling accuracy tracking")
 	traceSample := fs.Float64("trace-sample", 0,
 		"probability of head-sampling a distributed trace per request (0 disables tracing, 1 traces everything; slow and failed traces are tail-retained regardless)")
-	slowQuery := fs.Duration("slow-query", telemetry.DefaultSlowThreshold, "log feedback rounds at or above this latency (0 disables)")
-	traceEvents := fs.Int("trace-events", telemetry.DefaultTraceEvents, "flight-recorder ring capacity per table")
-	debugAddr := fs.String("debug-addr", "", "separate listen address for /debug/pprof, /metrics and /debug/trace (empty = off)")
+	slowQuery := fs.Duration("slow-query", telemetry.DefaultSlowThreshold,
+		"feedback rounds at or above this latency count in sthist_slow_feedback_total, and with -trace-sample their traces are kept (0 disables)")
+	debugAddr := fs.String("debug-addr", "", "separate listen address for /debug/pprof and /metrics (empty = off)")
 	driftOn := fs.Bool("drift", false, "enable drift-adaptive re-seeding (requires -telemetry)")
 	driftDefaults := drift.DefaultConfig()
 	driftNAE := fs.Float64("drift-nae", driftDefaults.NAEThreshold,
@@ -253,13 +253,13 @@ func setup(args []string) (*daemon, error) {
 		if slow == 0 {
 			slow = -1 // Options: negative disables, zero means default
 		}
-		d.tel = telemetry.New(telemetry.Options{TraceEvents: *traceEvents, SlowThreshold: slow})
+		d.tel = telemetry.New(telemetry.Options{SlowThreshold: slow})
 		d.srv.EnableTelemetry(d.tel)
 	}
 	if *traceSample > 0 {
-		// Slow-trace tail retention follows the same threshold that flags a
-		// feedback round as slow in the logs, so an exemplar and its log line
-		// agree on what "slow" means.
+		// Slow-trace tail retention follows the same threshold that counts a
+		// feedback round as slow, so a kept trace and the slow counter agree
+		// on what "slow" means.
 		slow := *slowQuery
 		if slow == 0 {
 			slow = -1
@@ -493,8 +493,8 @@ func (d *daemon) run(ctx context.Context) error {
 		}
 	}()
 
-	// Optional debug listener: pprof plus the observability routes, on an
-	// address that can stay firewalled off from estimator traffic.
+	// Optional debug listener: pprof plus /metrics, on an address that can
+	// stay firewalled off from estimator traffic.
 	var ds *http.Server
 	if d.cfg.debugAddr != "" {
 		ds = &http.Server{Addr: d.cfg.debugAddr, Handler: d.debugHandler()}
@@ -552,8 +552,8 @@ func (d *daemon) run(ctx context.Context) error {
 	return nil
 }
 
-// debugHandler mounts net/http/pprof alongside the telemetry routes on the
-// -debug-addr listener.
+// debugHandler mounts net/http/pprof alongside /metrics on the -debug-addr
+// listener.
 func (d *daemon) debugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -563,7 +563,6 @@ func (d *daemon) debugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if d.tel != nil {
 		mux.Handle("/metrics", d.tel.MetricsHandler())
-		mux.Handle("/debug/trace", d.tel.TraceHandler())
 	}
 	return mux
 }

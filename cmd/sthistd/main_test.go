@@ -32,6 +32,7 @@ func TestSetupValidation(t *testing.T) {
 		"drift-sans-telem": {"-table", "t=@cross:0.02", "-drift", "-telemetry=false"},
 		"bad-reseed-ratio": {"-table", "t=@cross:0.02", "-drift", "-reseed-ratio", "2"},
 		"bad-drift-floor":  {"-table", "t=@cross:0.02", "-drift", "-drift-reservoir", "4", "-drift-min-rounds", "1"},
+		"trace-events":     {"-table", "t=@cross:0.02", "-trace-events", "64"},
 	}
 	for name, args := range cases {
 		if _, err := setup(args); err == nil {
@@ -91,6 +92,31 @@ func TestSetupGeneratedAndFileTables(t *testing.T) {
 	defer r2.Body.Close()
 	if r2.StatusCode != http.StatusOK {
 		t.Errorf("estimate status = %d", r2.StatusCode)
+	}
+}
+
+// TestDebugListenerRoutes pins what -debug-addr serves: pprof and /metrics,
+// but no flight-recorder /debug/trace (round detail rides the request trace).
+func TestDebugListenerRoutes(t *testing.T) {
+	d, err := setup([]string{"-table", "gen=@cross:0.02", "-buckets", "30"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.debugHandler())
+	defer ts.Close()
+	for path, want := range map[string]int{
+		"/metrics":               http.StatusOK,
+		"/debug/pprof/":          http.StatusOK,
+		"/debug/trace?table=gen": http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 

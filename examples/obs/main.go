@@ -1,8 +1,9 @@
 // Observability walkthrough: serve a self-tuning histogram over HTTP with
-// the telemetry plane enabled, stream a Cross workload through /feedback,
-// and watch the instruments react — the rolling NAE (Eq. 10) decays as the
-// histogram drills holes, /metrics exposes Prometheus series, and
-// /debug/trace replays the last feedback rounds with drill/merge detail.
+// the telemetry plane and a tracer enabled, stream a Cross workload through
+// /feedback, and watch the instruments react — the rolling NAE (Eq. 10)
+// decays as the histogram drills holes, /metrics exposes Prometheus series,
+// and /debug/trace/spans replays the last feedback rounds: each request's
+// feedback.apply span carries its round's drill/merge detail.
 //
 // The second act arms the drift loop and then shifts the data distribution
 // mid-run (every cluster translated by 30% of the domain): the rolling NAE
@@ -20,6 +21,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -31,6 +33,7 @@ import (
 	"sthist/internal/httpapi"
 	"sthist/internal/index"
 	"sthist/internal/telemetry"
+	"sthist/internal/trace"
 	"sthist/internal/workload"
 )
 
@@ -74,6 +77,7 @@ func run(w io.Writer) error {
 	tel := telemetry.New(telemetry.Options{Window: 100, SlowThreshold: -1})
 	srv := httpapi.NewServer()
 	srv.EnableTelemetry(tel)
+	srv.SetTracer(trace.New(trace.Options{Service: "obs", SampleRate: 1, Seed: 1}))
 	if err := srv.Register(ds.Name, est); err != nil {
 		return err
 	}
@@ -132,21 +136,37 @@ func run(w io.Writer) error {
 		}
 	}
 
-	// Replay the flight recorder: the last rounds with drill/merge detail.
-	trace, err := get(ts.URL + "/debug/trace?table=" + ds.Name + "&n=2")
+	// Replay the newest rounds from the span rings: every feedback.apply
+	// span carries its round, with one sthole.merge child per merge.
+	spans, err := get(ts.URL + "/debug/trace/spans")
 	if err != nil {
 		return err
 	}
-	var tr struct {
-		Events []telemetry.TraceEvent `json:"events"`
+	var sp struct {
+		Spans []trace.SpanData `json:"spans"`
 	}
-	if err := json.Unmarshal([]byte(trace), &tr); err != nil {
+	if err := json.Unmarshal([]byte(spans), &sp); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "\nflight recorder (/debug/trace, newest rounds):")
-	for _, ev := range tr.Events {
-		fmt.Fprintf(w, "  round %d: est=%.1f actual=%.0f drills=%d merges=%d\n",
-			ev.Seq, ev.Estimate, ev.Actual, ev.Drills, len(ev.Merges))
+	var applies []trace.SpanData
+	merges := map[string]int{} // by parent feedback.apply span ID
+	for _, sd := range sp.Spans {
+		switch sd.Name {
+		case "feedback.apply":
+			applies = append(applies, sd)
+		case "sthole.merge":
+			merges[sd.ParentID]++
+		}
+	}
+	fmt.Fprintln(w, "\nnewest rounds (feedback.apply spans from /debug/trace/spans):")
+	for _, ap := range applies[max(0, len(applies)-2):] {
+		attr := map[string]string{}
+		for _, a := range ap.Attrs {
+			attr[a.Key] = a.Value
+		}
+		est, _ := strconv.ParseFloat(attr["est"], 64) // the writer formats it; only rounded here
+		fmt.Fprintf(w, "  round: est=%.1f actual=%s drills=%s merges=%d\n",
+			est, attr["actual"], attr["drills"], merges[ap.SpanID])
 	}
 
 	// Act two: arm the drift loop, then shift the distribution under the

@@ -17,7 +17,7 @@ func TestRun(t *testing.T) {
 		"rolling NAE",
 		"sthist_feedback_rounds_total",
 		"sthist_rolling_nae{",
-		"flight recorder",
+		"newest rounds (feedback.apply spans",
 		"distribution shift injected",
 		"sthist_drift_triggers_total",
 		"sthist_reseed_promoted_total",

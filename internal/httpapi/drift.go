@@ -38,7 +38,7 @@ type driftCtl struct {
 	lastScores    drift.Scores
 	haveScores    bool
 
-	// Telemetry instruments (nil when telemetry is disabled).
+	// Telemetry instruments; EnableDrift requires telemetry.
 	mTriggers *telemetry.Counter
 	mPromoted *telemetry.Counter
 	mRejected *telemetry.Counter
@@ -79,21 +79,17 @@ func (s *Server) EnableDrift(name string, cfg drift.Config) error {
 	if err != nil {
 		return err
 	}
-	d := &driftCtl{cfg: cfg, det: det, res: res, buildCh: make(chan buildResult, 1)}
-	s.mu.RLock()
-	tel := s.tel
-	s.mu.RUnlock()
-	if tel != nil {
-		reg := tel.Registry()
-		lbl := telemetry.L("table", name)
-		d.mTriggers = reg.Counter("sthist_drift_triggers_total",
-			"Drift detector firings (sustained rolling NAE above threshold).", lbl)
-		d.mPromoted = reg.Counter("sthist_reseed_promoted_total",
-			"Re-seeded candidate histograms promoted after probation.", lbl)
-		d.mRejected = reg.Counter("sthist_reseed_rejected_total",
-			"Re-seeded candidate histograms rejected after probation.", lbl)
-		d.mDuration = reg.Histogram("sthist_reseed_duration_seconds",
-			"Background candidate build duration.", telemetry.LatencyBuckets(), lbl)
+	reg, lbl := s.Telemetry().Registry(), telemetry.L("table", name)
+	d := &driftCtl{
+		cfg: cfg, det: det, res: res, buildCh: make(chan buildResult, 1),
+		mTriggers: reg.Counter("sthist_drift_triggers_total",
+			"Drift detector firings (sustained rolling NAE above threshold).", lbl),
+		mPromoted: reg.Counter("sthist_reseed_promoted_total",
+			"Re-seeded candidate histograms promoted after probation.", lbl),
+		mRejected: reg.Counter("sthist_reseed_rejected_total",
+			"Re-seeded candidate histograms rejected after probation.", lbl),
+		mDuration: reg.Histogram("sthist_reseed_duration_seconds",
+			"Background candidate build duration.", telemetry.LatencyBuckets(), lbl),
 	}
 	ent.jmu.Lock()
 	defer ent.jmu.Unlock()
@@ -148,9 +144,7 @@ func (e *entry) driftStepLocked(obs []sthist.Observation, liveEsts []float64) {
 		select {
 		case res := <-d.buildCh:
 			d.building = false
-			if d.mDuration != nil {
-				d.mDuration.Observe(res.dur.Seconds())
-			}
+			d.mDuration.Observe(res.dur.Seconds())
 			e.startProbationLocked(res)
 		default:
 		}
@@ -172,9 +166,7 @@ func (e *entry) driftStepLocked(obs []sthist.Observation, liveEsts []float64) {
 	}
 	n, _, nae := e.rec.Rolling()
 	if d.det.Observe(n, nae) {
-		if d.mTriggers != nil {
-			d.mTriggers.Inc()
-		}
+		d.mTriggers.Inc()
 		e.startBuildLocked()
 	}
 }
@@ -250,9 +242,7 @@ func (e *entry) resolveProbationLocked() {
 	if !sc.Promote(d.cfg.PromoteRatio) {
 		d.rejected++
 		d.lastOutcome = "rejected"
-		if d.mRejected != nil {
-			d.mRejected.Inc()
-		}
+		d.mRejected.Inc()
 		return
 	}
 	if err := e.promoteLocked(cand); err != nil {
@@ -262,9 +252,7 @@ func (e *entry) resolveProbationLocked() {
 	}
 	d.promoted++
 	d.lastOutcome = "promoted"
-	if d.mPromoted != nil {
-		d.mPromoted.Inc()
-	}
+	d.mPromoted.Inc()
 }
 
 // promoteLocked installs the winning candidate: journal the replacement to

@@ -72,9 +72,10 @@ type entry struct {
 
 	// Scratch buffers owned by the writer goroutine; reused across batches so
 	// the steady-state commit path stops allocating once warmed.
-	reqScratch []*feedbackReq
-	recScratch []wal.Record
-	obsScratch []sthist.Observation
+	reqScratch   []*feedbackReq
+	recScratch   []wal.Record
+	obsScratch   []sthist.Observation
+	roundScratch []sthist.Round // round detail of traced requests, by batch index
 
 	// Drift adaptation (nil unless EnableDrift): reservoir, detector,
 	// probation shadow, plus the live pre-apply estimate scratch. Guarded by
@@ -84,7 +85,6 @@ type entry struct {
 	liveScratch []float64 // writer-owned scratch like reqScratch
 
 	jmu            sync.Mutex
-	walTap         *trace.WALTap // tracing tap chained into the WAL observer; guarded by jmu
 	log            *wal.Log      // guarded by jmu
 	appendErrors   int           // WAL appends that failed (served anyway, durability degraded); guarded by jmu
 	sinceCkpt      int           // records appended since the last checkpoint; guarded by jmu
@@ -169,19 +169,16 @@ func (s *Server) register(name string, est *sthist.Estimator, l *wal.Log) error 
 	}
 	s.tables[name] = ent
 	s.wireTelemetryLocked(name, ent)
-	if s.tracer != nil {
-		ent.wireTraceTap()
-	}
 	go ent.writerLoop()
 	return nil
 }
 
 // EnableTelemetry attaches the telemetry plane: every table (already
-// registered or registered later) gets a flight recorder wired into its
-// estimator plus structural gauges (bucket count, tree depth, subspace
-// buckets) collected at scrape time, and Handler() additionally mounts
-// GET /metrics and GET /debug/trace and instruments every route with
-// request counters and latency histograms. Call before serving traffic.
+// registered or registered later) gets a recorder wired into its estimator
+// (round instruments and the rolling accuracy window) plus structural gauges
+// (bucket count, tree depth, subspace buckets) collected at scrape time, and
+// Handler() additionally mounts GET /metrics and instruments every route
+// with request counters and latency histograms. Call before serving traffic.
 func (s *Server) EnableTelemetry(t *telemetry.Telemetry) {
 	if t == nil {
 		return
@@ -286,7 +283,6 @@ func (s *Server) Handler() http.Handler {
 	var h http.Handler = mux
 	if tel := s.Telemetry(); tel != nil {
 		mux.Handle("/metrics", tel.MetricsHandler())
-		mux.Handle("/debug/trace", tel.TraceHandler())
 		h = s.instrumentMiddleware(tel, h)
 	}
 	// Tracing wraps instrumentation so the route middleware sees the span in
@@ -300,7 +296,7 @@ func (s *Server) Handler() http.Handler {
 // label cardinality.
 var instrumentedRoutes = map[string]bool{
 	"/tables": true, "/estimate": true, "/feedback": true,
-	"/stats": true, "/healthz": true, "/metrics": true, "/debug/trace": true,
+	"/stats": true, "/healthz": true, "/metrics": true,
 	"/livez": true, "/readyz": true, "/snapshot": true,
 	"/debug/trace/spans": true, "/debug/trace/exemplars": true,
 }

@@ -91,40 +91,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugTraceEndpoint pins that the flight-recorder route is gone: with
+// telemetry on, GET /debug/trace answers 404. A feedback round's detail rides
+// its feedback.apply span instead (TestFeedbackStageSpans).
 func TestDebugTraceEndpoint(t *testing.T) {
 	_, _, ts := newTelemetryServer(t)
-	for i := 0; i < 5; i++ {
-		fb := map[string]any{
-			"table":  "orders",
-			"lo":     []float64{float64(i * 100), float64(i * 100)},
-			"hi":     []float64{float64(i*100) + 80, float64(i*100) + 80},
-			"actual": float64(10 * i),
+	post(t, ts.URL+"/feedback", map[string]any{
+		"table": "orders", "lo": []float64{0, 0}, "hi": []float64{80, 80}, "actual": 10.0,
+	})
+	for _, url := range []string{"/debug/trace?table=orders&n=3", "/debug/trace?table=orders&slow=1"} {
+		if code, body := getBody(t, ts.URL+url); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d (%s), want 404", url, code, body)
 		}
-		post(t, ts.URL+"/feedback", fb)
-	}
-	code, body := getBody(t, ts.URL+"/debug/trace?table=orders&n=3")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/trace status = %d, body %s", code, body)
-	}
-	var out struct {
-		Table  string                 `json:"table"`
-		Events []telemetry.TraceEvent `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Table != "orders" || len(out.Events) != 3 {
-		t.Fatalf("trace table=%q events=%d", out.Table, len(out.Events))
-	}
-	last := out.Events[len(out.Events)-1]
-	if last.Actual != 40 {
-		t.Errorf("newest event actual = %g, want 40", last.Actual)
-	}
-	if last.Nanos <= 0 {
-		t.Error("trace event has no duration")
-	}
-	if code, _ := getBody(t, ts.URL+"/debug/trace?table=nope"); code != http.StatusBadRequest {
-		t.Errorf("unknown table trace status = %d", code)
 	}
 }
 

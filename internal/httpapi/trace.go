@@ -13,10 +13,9 @@ import (
 // SetTracer attaches the distributed-tracing plane: every request gets a
 // node-side root span continuing the caller's traceparent (or starting a
 // fresh trace), the feedback pipeline records stage spans (queue wait, WAL
-// append, fsync, apply, drift shadow), durable tables get a wal.Observer tap
-// chained in front of the metrics observer, and Handler() additionally
-// serves GET /debug/trace/spans and /debug/trace/exemplars. Call before
-// serving traffic. A nil tracer is a no-op.
+// append, fsync, apply with the round's detail, drift shadow), and the
+// /debug/trace/spans and /debug/trace/exemplars routes start answering. Call
+// before serving traffic. A nil tracer is a no-op.
 func (s *Server) SetTracer(tr *trace.Tracer) {
 	if tr == nil {
 		return
@@ -24,9 +23,6 @@ func (s *Server) SetTracer(tr *trace.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tracer = tr
-	for _, ent := range s.tables {
-		ent.wireTraceTap()
-	}
 }
 
 // Tracer returns the attached tracer, or nil.
@@ -34,20 +30,6 @@ func (s *Server) Tracer() *trace.Tracer {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tracer
-}
-
-// wireTraceTap chains a tracing tap in front of whatever observer the
-// table's WAL already reports to (telemetry.WALMetrics, typically), so the
-// writer goroutine can turn batch append/fsync timings into spans. Idempotent
-// per table.
-func (e *entry) wireTraceTap() {
-	e.jmu.Lock()
-	defer e.jmu.Unlock()
-	if e.log == nil || e.walTap != nil {
-		return
-	}
-	e.walTap = &trace.WALTap{Next: e.log.CurrentObserver()}
-	e.log.SetObserver(e.walTap)
 }
 
 // traceMiddleware starts the node-side root span for every request: the
@@ -98,7 +80,7 @@ func exemplarKeep(tr *trace.Tracer, sp *trace.Span, code int, d time.Duration) b
 // handleTraceSpans serves GET /debug/trace/spans[?trace=ID|n=K]: the
 // process's retained spans as JSON, oldest first. ?trace= filters to one
 // trace (the cross-process assembly key sthproxy merges on); ?n= bounds the
-// unfiltered listing. Malformed parameters are 400, like /debug/trace.
+// unfiltered listing. Malformed parameters are 400.
 func (s *Server) handleTraceSpans(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))

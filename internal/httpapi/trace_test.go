@@ -3,14 +3,17 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
 	"sthist"
+	"sthist/internal/faultfs"
 	"sthist/internal/telemetry"
 	"sthist/internal/trace"
 	"sthist/internal/wal"
@@ -20,6 +23,12 @@ import (
 // rate 1, so every request's trace is retained and stage spans are
 // observable.
 func newTracedServer(t *testing.T) (*Server, *httptest.Server, *trace.Tracer) {
+	return newTracedServerWith(t, 30, nil, trace.Options{Service: "node-test", SampleRate: 1, Seed: 7})
+}
+
+// newTracedServerWith is newTracedServer with a bucket budget, the WAL's
+// filesystem (nil for the real one) and the tracer's options.
+func newTracedServerWith(t *testing.T, buckets int, fs faultfs.FS, topts trace.Options) (*Server, *httptest.Server, *trace.Tracer) {
 	t.Helper()
 	tab, err := sthist.NewTable("x", "y")
 	if err != nil {
@@ -29,11 +38,11 @@ func newTracedServer(t *testing.T) (*Server, *httptest.Server, *trace.Tracer) {
 	for i := 0; i < 500; i++ {
 		tab.MustAppend([]float64{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
-	est, err := sthist.Open(tab, sthist.Options{Buckets: 30, Seed: 2})
+	est, err := sthist.Open(tab, sthist.Options{Buckets: buckets, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := wal.Open(filepath.Join(t.TempDir(), "orders"), wal.Options{})
+	l, _, err := wal.Open(filepath.Join(t.TempDir(), "orders"), wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +51,7 @@ func newTracedServer(t *testing.T) (*Server, *httptest.Server, *trace.Tracer) {
 		t.Fatal(err)
 	}
 	s.EnableTelemetry(telemetry.New(telemetry.Options{}))
-	tr := trace.New(trace.Options{Service: "node-test", SampleRate: 1, Seed: 7})
+	tr := trace.New(topts)
 	s.SetTracer(tr)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -79,6 +88,25 @@ func spanNames(spans []trace.SpanData) map[string]trace.SpanData {
 		m[sp.Name] = sp
 	}
 	return m
+}
+
+func attrMap(sd trace.SpanData) map[string]string {
+	m := make(map[string]string, len(sd.Attrs))
+	for _, a := range sd.Attrs {
+		m[a.Key] = a.Value
+	}
+	return m
+}
+
+// postFeedback sends one feedback observation and returns the trace ID the
+// node stamped on the reply.
+func postFeedback(t *testing.T, base string, lo, hi []float64, actual float64) string {
+	t.Helper()
+	resp, _ := post(t, base+"/feedback", map[string]any{"table": "orders", "lo": lo, "hi": hi, "actual": actual})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("feedback status = %d", resp.StatusCode)
+	}
+	return resp.Header.Get(trace.TraceIDHeader)
 }
 
 func TestTraceMiddlewareStampsTraceID(t *testing.T) {
@@ -128,9 +156,13 @@ func TestFeedbackStageSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ack struct {
+		Seq uint64 `json:"seq"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&ack)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("feedback status = %d", resp.StatusCode)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("feedback status = %d, decode err %v", resp.StatusCode, err)
 	}
 
 	spans := getSpans(t, ts.URL, traceID)
@@ -160,6 +192,110 @@ func TestFeedbackStageSpans(t *testing.T) {
 	}
 	if sp := byName["wal.append"]; sp.Error != "" {
 		t.Errorf("wal.append unexpectedly failed: %q", sp.Error)
+	}
+	// The apply span carries the request's own round.
+	attrs := attrMap(byName["feedback.apply"])
+	for _, k := range []string{"seq", "lo", "hi", "est", "actual", "drills", "skipped", "ns"} {
+		if _, ok := attrs[k]; !ok {
+			t.Errorf("feedback.apply lacks %q: %v", k, attrs)
+		}
+	}
+	if attrs["lo"] != "[0,0]" || attrs["hi"] != "[100,100]" || attrs["actual"] != "42" ||
+		attrs["seq"] != strconv.FormatUint(ack.Seq, 10) {
+		t.Errorf("feedback.apply round = %v, want the posted query and actual and the acked seq %d", attrs, ack.Seq)
+	}
+}
+
+// TestFeedbackApplyCarriesMerges drives a 3-bucket table until it merges:
+// every merge of a traced round is a sthole.merge child of that request's
+// feedback.apply span, and the kinds and penalties on the spans are the
+// ones the recorder's merge instruments counted.
+func TestFeedbackApplyCarriesMerges(t *testing.T) {
+	s, ts, _ := newTracedServerWith(t, 3, nil, trace.Options{Service: "node-test", SampleRate: 1, Seed: 7})
+	kinds := map[string]uint64{}
+	var penalties float64
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		x, y := rng.Float64()*900, rng.Float64()*900
+		id := postFeedback(t, ts.URL, []float64{x, y}, []float64{x + 100, y + 100}, float64(rng.Intn(50)))
+		spans := getSpans(t, ts.URL, id)
+		apply, ok := spanNames(spans)["feedback.apply"]
+		if !ok {
+			t.Fatalf("request %d: no feedback.apply span", i)
+		}
+		for _, sp := range spans {
+			if sp.Name != "sthole.merge" {
+				continue
+			}
+			if sp.ParentID != apply.SpanID {
+				t.Fatalf("sthole.merge parent = %q, want feedback.apply %q", sp.ParentID, apply.SpanID)
+			}
+			a := attrMap(sp)
+			p, err := strconv.ParseFloat(a["penalty"], 64)
+			if err != nil {
+				t.Fatalf("sthole.merge penalty %q: %v", a["penalty"], err)
+			}
+			kinds[a["kind"]]++
+			penalties += p
+		}
+	}
+	reg := s.Telemetry().Registry()
+	var merged uint64
+	for _, kind := range []string{telemetry.MergeKindParentChild, telemetry.MergeKindSibling} {
+		c := reg.Counter("sthist_merges_total", "", telemetry.Labels{{Key: "table", Value: "orders"}, {Key: "kind", Value: kind}})
+		if c.Value() != kinds[kind] {
+			t.Errorf("%s merges: %d on spans, %d counted", kind, kinds[kind], c.Value())
+		}
+		merged += c.Value()
+	}
+	if merged == 0 {
+		t.Fatal("a 3-bucket table never merged")
+	}
+	h := reg.Histogram("sthist_merge_penalty", "", telemetry.PenaltyBuckets(), telemetry.L("table", "orders"))
+	if h.Count() != merged || math.Abs(h.Sum()-penalties) > 1e-9*math.Max(1, penalties) {
+		t.Errorf("penalties: %d summing to %g on spans, recorder saw %d summing to %g", merged, penalties, h.Count(), h.Sum())
+	}
+}
+
+// TestSlowApplyRetainsUnsampledTrace: at sample rate 0 a feedback trace is
+// dropped unless something in it is slow or failed. An apply span over the
+// slow threshold keeps it, round detail included — slow rounds come from
+// tail retention.
+func TestSlowApplyRetainsUnsampledTrace(t *testing.T) {
+	_, ts, _ := newTracedServerWith(t, 30, nil, trace.Options{Service: "node-test", SlowThreshold: time.Nanosecond, Seed: 7})
+	id := postFeedback(t, ts.URL, []float64{10, 10}, []float64{90, 90}, 7)
+	apply, ok := spanNames(getSpans(t, ts.URL, id))["feedback.apply"]
+	if !ok {
+		t.Fatal("slow unsampled feedback trace not retained")
+	}
+	if a := attrMap(apply); a["lo"] != "[10,10]" || a["actual"] != "7" || a["est"] == "" {
+		t.Errorf("retained apply span lost its round: %v", a)
+	}
+}
+
+// TestWALStageErrorMarking fails one stage of the first group commit and
+// checks that the error lands on that stage's span only.
+func TestWALStageErrorMarking(t *testing.T) {
+	// The initial manifest takes the first write and fsync; the batch's own
+	// are the second.
+	for stage, fault := range map[string]faultfs.Fault{
+		"wal.append": {Op: faultfs.OpWrite, Nth: 2},
+		"wal.fsync":  {Op: faultfs.OpSync, Nth: 2},
+	} {
+		t.Run(stage, func(t *testing.T) {
+			fs := faultfs.NewInjector(faultfs.OS{}, fault)
+			_, ts, _ := newTracedServerWith(t, 30, fs, trace.Options{Service: "node-test", SampleRate: 1, Seed: 7})
+			byName := spanNames(getSpans(t, ts.URL, postFeedback(t, ts.URL, []float64{0, 0}, []float64{50, 50}, 3)))
+			if byName[stage].Error == "" {
+				t.Errorf("%s not marked failed: %+v", stage, byName)
+			}
+			if stage == "wal.fsync" && byName["wal.append"].Error != "" {
+				t.Errorf("wal.append marked failed by an fsync fault: %q", byName["wal.append"].Error)
+			}
+			if _, ok := byName["wal.fsync"]; stage == "wal.append" && ok {
+				t.Error("wal.fsync span after a failed append")
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"sthist"
 	"sthist/internal/geom"
+	"sthist/internal/telemetry"
 	"sthist/internal/trace"
 	"sthist/internal/wal"
 )
@@ -214,40 +215,41 @@ func (e *entry) commitBatch(batch []*feedbackReq) {
 		}
 	}
 	var firstSeq uint64
-	appended := false
 	var walStart time.Time
-	var wt trace.WALTimings
+	var wt wal.Timings
+	var walErr error
 	if e.log != nil {
 		recs := e.recScratch[:0]
 		for _, r := range batch {
 			recs = append(recs, wal.Record{Lo: r.q.Lo, Hi: r.q.Hi, Actual: r.actual})
 		}
 		e.recScratch = recs
-		tap := e.walTap
-		if !traced {
-			tap = nil
-		}
-		if tap != nil {
-			tap.Take() // drop timings from earlier untraced batches
-		}
-		var err error
 		walStart = time.Now()
-		firstSeq, err = e.log.AppendBatch(recs)
-		if tap != nil {
-			wt = tap.Take()
-		}
-		if err != nil {
+		firstSeq, wt, walErr = e.log.AppendBatch(recs)
+		if walErr != nil {
 			e.appendErrors += len(batch)
 		} else {
 			e.sinceCkpt += len(batch)
-			appended = true
 		}
 	}
+	appended := e.log != nil && walErr == nil
 	obs := e.obsScratch[:0]
 	for _, r := range batch {
 		obs = append(obs, sthist.Observation{Query: r.q, Actual: r.actual})
 	}
 	e.obsScratch = obs
+	if traced {
+		// Traced requests ask for their round's detail; it rides their
+		// feedback.apply span.
+		for len(e.roundScratch) < len(batch) {
+			e.roundScratch = append(e.roundScratch, sthist.Round{})
+		}
+		for i, r := range batch {
+			if r.span != nil {
+				obs[i].Round = &e.roundScratch[i]
+			}
+		}
+	}
 	// During probation the shadow comparison needs the live arm's answers
 	// from BEFORE this batch is learned; nil (free) otherwise.
 	liveEsts := e.driftPreApplyLocked(batch)
@@ -266,7 +268,11 @@ func (e *entry) commitBatch(batch []*feedbackReq) {
 		driftDur = time.Since(driftStart)
 	}
 	if traced {
-		e.emitStageSpansLocked(batch, walStart, wt, applyStart, applyDur, driftDur)
+		seq0 := uint64(0)
+		if appended {
+			seq0 = firstSeq
+		}
+		e.emitStageSpansLocked(batch, errs, seq0, walStart, wt, walErr, applyStart, applyDur, driftDur)
 	}
 	for i, r := range batch {
 		var res feedbackResult
@@ -294,33 +300,76 @@ func (e *entry) commitBatch(batch []*feedbackReq) {
 // emitStageSpansLocked duplicates the batch-level stage timings into every
 // traced request of the batch: a group commit's append, fsync, apply and
 // drift step belong to each request that rode it, and the "batch" attribute
-// records how many shared the cost. Must run before the replies are sent
-// (see commitBatch); jmu is held by the caller.
-func (e *entry) emitStageSpansLocked(batch []*feedbackReq, walStart time.Time, wt trace.WALTimings, applyStart time.Time, applyDur, driftDur time.Duration) {
+// records how many shared the cost. A failed append marks the last WAL
+// stage that ran. Each request's feedback.apply span also carries its own
+// round: its WAL sequence number (when seq0, the batch's first, is set), the
+// query, the estimate before the round, the truth, drills, skipped drills
+// and the round's own duration, with one sthole.merge child per merge. errs
+// is the apply's per-observation result (nil when the whole batch failed).
+// Must run before the replies are sent (see commitBatch); jmu is held by the
+// caller.
+func (e *entry) emitStageSpansLocked(batch []*feedbackReq, errs []error, seq0 uint64, walStart time.Time, wt wal.Timings, walErr error, applyStart time.Time, applyDur, driftDur time.Duration) {
 	batchAttr := trace.A("batch", strconv.Itoa(len(batch)))
-	for _, r := range batch {
+	appendMsg, syncMsg := "", ""
+	switch {
+	case walErr != nil && wt.Synced:
+		syncMsg = walErr.Error()
+	case walErr != nil:
+		appendMsg = walErr.Error()
+	}
+	for i, r := range batch {
 		if r.span == nil {
 			continue
 		}
-		if wt.HasAppend {
-			msg := ""
-			if wt.AppendErr != nil {
-				msg = wt.AppendErr.Error()
-			}
-			r.span.Event("wal.append", walStart, wt.Append, msg, batchAttr)
+		if wt.Appended {
+			r.span.Event("wal.append", walStart, wt.Append, appendMsg, batchAttr)
 		}
-		if wt.HasSync {
-			msg := ""
-			if wt.SyncErr != nil {
-				msg = wt.SyncErr.Error()
-			}
-			r.span.Event("wal.fsync", walStart.Add(wt.Append), wt.Sync, msg, batchAttr)
+		if wt.Synced {
+			r.span.Event("wal.fsync", walStart.Add(wt.Append), wt.Sync, syncMsg, batchAttr)
 		}
-		r.span.Event("feedback.apply", applyStart, applyDur, "", batchAttr)
+		attrs := append(make([]trace.Attr, 0, 9), batchAttr)
+		var merges []telemetry.MergeOp
+		if errs != nil && errs[i] == nil {
+			if seq0 > 0 {
+				attrs = append(attrs, trace.A("seq", strconv.FormatUint(seq0+uint64(i), 10)))
+			}
+			rd := &e.roundScratch[i]
+			attrs = append(attrs,
+				trace.A("lo", formatFloats(rd.Query.Lo)),
+				trace.A("hi", formatFloats(rd.Query.Hi)),
+				trace.A("est", formatFloat(rd.Estimate)),
+				trace.A("actual", formatFloat(rd.Actual)),
+				trace.A("drills", strconv.Itoa(rd.Drills)),
+				trace.A("skipped", strconv.Itoa(rd.Skipped)),
+				trace.A("ns", strconv.FormatInt(rd.Duration.Nanoseconds(), 10)))
+			merges = rd.Merges
+		}
+		apply := r.span.StartChildAt("feedback.apply", applyStart, attrs...)
+		for _, m := range merges {
+			apply.Event("sthole.merge", m.Start, time.Duration(m.Nanos), "",
+				trace.A("kind", m.Kind), trace.A("penalty", formatFloat(m.Penalty)))
+		}
+		apply.EndAt(applyStart.Add(applyDur))
 		if e.drift != nil && driftDur > 0 {
 			r.span.Event("drift.shadow", applyStart.Add(applyDur), driftDur, "")
 		}
 	}
+}
+
+// formatFloat renders v in the shortest form that parses back to v.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// formatFloats renders vs as a JSON array of shortest round-trip floats.
+func formatFloats(vs []float64) string {
+	var buf [64]byte
+	b := append(buf[:0], '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	return string(append(b, ']'))
 }
 
 // applyBatchLocked feeds the batch to the estimator; jmu is held by the

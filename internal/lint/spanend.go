@@ -8,9 +8,10 @@ import (
 )
 
 // SpanEnd returns the analyzer enforcing the tracing lifecycle contract:
-// every span minted by StartRoot, StartRemote or StartChild must reach End()
-// on all return paths, or the span leaks — its trace never flushes to the
-// retention rings and /debug/trace/spans silently loses the request.
+// every span minted by StartRoot, StartRemote, StartChild or StartChildAt
+// must reach End() (or EndAt) on all return paths, or the span leaks — its
+// trace never flushes to the retention rings and /debug/trace/spans silently
+// loses the request.
 //
 // The check is lexical, tuned to the repo's two legitimate shapes:
 //
@@ -27,16 +28,17 @@ import (
 func SpanEnd() *Analyzer {
 	return &Analyzer{
 		Name: "spanend",
-		Doc:  "spans from StartRoot/StartRemote/StartChild must reach End on every return path",
+		Doc:  "spans from StartRoot/StartRemote/StartChild/StartChildAt must reach End on every return path",
 		Run:  runSpanEnd,
 	}
 }
 
 // spanStartFuncs are the method names that mint a span the caller owns.
 var spanStartFuncs = map[string]bool{
-	"StartRoot":   true,
-	"StartRemote": true,
-	"StartChild":  true,
+	"StartRoot":    true,
+	"StartRemote":  true,
+	"StartChild":   true,
+	"StartChildAt": true,
 }
 
 func runSpanEnd(pass *Pass) {
@@ -257,10 +259,11 @@ func spanStartName(call *ast.CallExpr) string {
 	return exprString(call.Fun)
 }
 
-// spanEndCall returns the tracked variable when call is <var>.End().
+// spanEndCall returns the tracked variable when call is <var>.End() or
+// <var>.EndAt(t).
 func spanEndCall(pass *Pass, call *ast.CallExpr, tracked func(ast.Expr) *spanVar) *spanVar {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" || len(call.Args) != 0 {
+	if !ok || !(sel.Sel.Name == "End" && len(call.Args) == 0 || sel.Sel.Name == "EndAt" && len(call.Args) == 1) {
 		return nil
 	}
 	return tracked(sel.X)

@@ -1,10 +1,11 @@
 // Package spanend is a lint fixture for the spanend analyzer: spans minted
-// by StartRoot/StartRemote/StartChild must reach End() on every return path,
-// unless ownership visibly moves elsewhere.
+// by StartRoot/StartRemote/StartChild/StartChildAt must reach End() or
+// EndAt on every return path, unless ownership visibly moves elsewhere.
 package spanend
 
 import (
 	"errors"
+	"time"
 
 	"fixture/trace"
 )
@@ -58,6 +59,12 @@ func GoodChildLoop(tr *trace.Tracer, n int) {
 	}
 }
 
+// GoodPostHoc records a stage timed after the fact, ended with EndAt.
+func GoodPostHoc(root *trace.Span, start time.Time, d time.Duration) {
+	c := root.StartChildAt("stage", start)
+	c.EndAt(start.Add(d))
+}
+
 // GoodEscapeField hands the span to a struct for a later stage to end.
 func GoodEscapeField(tr *trace.Tracer, h *holder) {
 	h.sp = tr.StartRoot("op")
@@ -109,6 +116,16 @@ func BadChild(tr *trace.Tracer) {
 	defer root.End()
 	c := root.StartChild("stage") // want spanend
 	c.SetError("boom")
+}
+
+// BadPostHoc starts a post-hoc stage and returns before ending it.
+func BadPostHoc(root *trace.Span, start time.Time, fail bool) error {
+	c := root.StartChildAt("stage", start) // want spanend
+	if fail {
+		return errOp
+	}
+	c.EndAt(start)
+	return nil
 }
 
 // IgnoredLeak exercises the escape hatch: the directive suppresses the

@@ -5,7 +5,10 @@
 // NOT apply to clients importing it — only to this package's own bodies.
 package trace
 
-import "net/http"
+import (
+	"net/http"
+	"time"
+)
 
 // TraceparentHeader is the W3C propagation header.
 const TraceparentHeader = "traceparent"
@@ -40,8 +43,14 @@ func (t *Tracer) StartRemote(sc SpanContext, name string) *Span { return &Span{}
 // StartChild begins a child span.
 func (s *Span) StartChild(name string) *Span { return &Span{} }
 
+// StartChildAt begins a child span timed after the fact.
+func (s *Span) StartChildAt(name string, start time.Time) *Span { return &Span{} }
+
 // End completes the span.
 func (s *Span) End() {}
+
+// EndAt completes the span at a given time.
+func (s *Span) EndAt(end time.Time) {}
 
 // SetError marks the span failed.
 func (s *Span) SetError(msg string) {}

@@ -178,9 +178,10 @@ func New(domain geom.Rect, maxBuckets int, totalTuples float64) (*Histogram, err
 		return nil, fmt.Errorf("sthole: domain %v has zero volume", domain)
 	}
 	h := &Histogram{
-		root:       &Bucket{box: domain.Clone(), freq: totalTuples},
+		root:       &Bucket{box: domain.Clone(), freq: totalTuples}, // seq 0
 		maxBuckets: maxBuckets,
 		dims:       domain.Dims(),
+		seqCounter: 1,
 	}
 	h.resetMergeState()
 	return h, nil
@@ -194,20 +195,20 @@ func (h *Histogram) nextSeq() uint64 {
 }
 
 // resetMergeState rebuilds the merge scheduling state from the bucket tree:
-// fresh caches, an empty candidate heap, pre-order sequence numbers, and
-// every bucket marked dirty so the next merge selection recomputes all
-// candidates. Called when a tree is (re)built wholesale (New, Clone,
-// UnmarshalJSON).
+// fresh caches, an empty candidate heap, and every bucket marked dirty so the
+// next merge selection recomputes all candidates. Called when a tree is
+// (re)built wholesale (New, Clone, UnmarshalJSON) or a snapshot is first
+// drilled. Sequence numbers are part of the tree and survive: Clone,
+// Snapshot and the JSON form carry them, so a copy breaks equal-penalty ties
+// exactly as the tree it was taken from.
 func (h *Histogram) resetMergeState() {
 	h.mergeCache = make(map[*Bucket]*parentMergeEntry)
 	h.sibCache = make(map[*Bucket]*siblingMergeEntry)
 	h.dirty = make(map[*Bucket]struct{})
 	h.merges = h.merges[:0]
-	h.seqCounter = 0
 	h.sibArrParent = nil // flattened sibling arrays may describe a stale tree
 	var walk func(b *Bucket)
 	walk = func(b *Bucket) {
-		b.seq = h.nextSeq()
 		h.dirty[b] = struct{}{}
 		for _, c := range b.children {
 			walk(c)

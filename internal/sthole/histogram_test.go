@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,6 +201,61 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"max_buckets":5,"root":{"lo":[1],"hi":[0],"freq":1}}`), &bad); err == nil {
 		t.Error("inverted box accepted")
+	}
+}
+
+// TestJSONCarriesSeq pins that the merge tie-break order survives JSON,
+// Clone and Snapshot, that a histogram saved before seq was serialized still
+// loads with pre-order numbers, and that duplicate numbers are rejected.
+func TestJSONCarriesSeq(t *testing.T) {
+	h := MustNew(rect2(0, 0, 10, 10), 5, 50)
+	h.nextSeq() // a merged-away bucket: creation order has gaps
+	late := h.addChild(h.root, rect2(6, 6, 8, 8), 30)
+	early := h.addChild(h.root, rect2(2, 2, 4, 4), 20)
+	h.root.children[0], h.root.children[1] = early, late // pre-order != creation order
+	seqs := func(h *Histogram) []uint64 {
+		var out []uint64
+		for _, b := range h.Buckets() {
+			out = append(out, b.seq)
+		}
+		return append(out, h.seqCounter)
+	}
+	want := seqs(h) // root, early, late, next
+	data, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Histogram
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]uint64{
+		"json": seqs(&back), "clone": seqs(h.Clone()), "snapshot": seqs(h.Snapshot()),
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s seqs = %v, want %v", name, got, want)
+		}
+	}
+
+	legacy := `{"max_buckets":5,"root":{"lo":[0,0],"hi":[10,10],"freq":50,"children":[` +
+		`{"lo":[2,2],"hi":[4,4],"freq":20},{"lo":[6,6],"hi":[8,8],"freq":30}]}}`
+	var old Histogram
+	if err := json.Unmarshal([]byte(legacy), &old); err != nil {
+		t.Fatalf("seq-less histogram rejected: %v", err)
+	}
+	if got := seqs(&old); got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
+		t.Errorf("seq-less histogram numbered %v, want pre-order 0 1 2 and next 3", got)
+	}
+
+	var bad Histogram
+	dup := strings.Replace(strings.Replace(legacy, `"freq":20}`, `"freq":20,"seq":4}`, 1), `"freq":30}`, `"freq":30,"seq":4}`, 1)
+	dup = strings.Replace(dup, `"freq":50,`, `"freq":50,"seq":0,`, 1)
+	if err := json.Unmarshal([]byte(dup), &bad); err == nil {
+		t.Error("duplicate seq accepted")
+	}
+	partial := strings.Replace(legacy, `"freq":20}`, `"freq":20,"seq":4}`, 1)
+	if err := json.Unmarshal([]byte(partial), &bad); err == nil {
+		t.Error("seq on some buckets only accepted")
 	}
 }
 

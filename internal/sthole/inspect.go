@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"sthist/internal/geom"
@@ -63,11 +64,13 @@ func (h *Histogram) Dump(w io.Writer) {
 	walk(h.root, 0)
 }
 
-// bucketJSON is the serialized form of one bucket.
+// bucketJSON is the serialized form of one bucket. Seq is the merge
+// tie-break order; histograms saved before it was serialized omit it.
 type bucketJSON struct {
 	Lo       []float64    `json:"lo"`
 	Hi       []float64    `json:"hi"`
 	Freq     float64      `json:"freq"`
+	Seq      *uint64      `json:"seq,omitempty"`
 	Children []bucketJSON `json:"children,omitempty"`
 }
 
@@ -78,7 +81,7 @@ type histogramJSON struct {
 }
 
 func toJSON(b *Bucket) bucketJSON {
-	j := bucketJSON{Lo: b.box.Lo, Hi: b.box.Hi, Freq: b.freq}
+	j := bucketJSON{Lo: b.box.Lo, Hi: b.box.Hi, Freq: b.freq, Seq: &b.seq}
 	for _, c := range b.children {
 		j.Children = append(j.Children, toJSON(c))
 	}
@@ -99,7 +102,8 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	if j.MaxBuckets < 1 {
 		return fmt.Errorf("sthole: serialized budget %d invalid", j.MaxBuckets)
 	}
-	root, n, err := fromJSON(j.Root)
+	withSeq := 0
+	root, n, err := fromJSON(j.Root, &withSeq)
 	if err != nil {
 		return err
 	}
@@ -108,20 +112,29 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	h.count = n - 1
 	h.dims = root.box.Dims()
 	h.frozen = false
+	if err := h.numberBuckets(withSeq); err != nil {
+		return err
+	}
 	h.resetMergeState()
 	h.Stats = Stats{}
 	return h.Validate()
 }
 
-func fromJSON(j bucketJSON) (*Bucket, int, error) {
+// fromJSON rebuilds a serialized subtree, counting the buckets that carry a
+// seq into withSeq.
+func fromJSON(j bucketJSON, withSeq *int) (*Bucket, int, error) {
 	box, err := geom.NewRect(j.Lo, j.Hi)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sthole: deserializing bucket: %w", err)
 	}
 	b := &Bucket{box: box, freq: j.Freq}
+	if j.Seq != nil {
+		b.seq = *j.Seq
+		*withSeq++
+	}
 	n := 1
 	for _, cj := range j.Children {
-		c, cn, err := fromJSON(cj)
+		c, cn, err := fromJSON(cj, withSeq)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -129,6 +142,36 @@ func fromJSON(j bucketJSON) (*Bucket, int, error) {
 		n += cn
 	}
 	return b, n, nil
+}
+
+// numberBuckets settles the sequence numbers of a deserialized tree in which
+// withSeq buckets carried one. A tree saved before seq was serialized
+// carries none and is numbered in pre-order, as every load numbered trees
+// then. Otherwise every bucket must carry a distinct seq, and new buckets
+// are numbered after the largest.
+func (h *Histogram) numberBuckets(withSeq int) error {
+	buckets := h.Buckets()
+	switch withSeq {
+	case 0:
+		for i, b := range buckets {
+			b.seq = uint64(i)
+		}
+		h.seqCounter = uint64(len(buckets))
+		return nil
+	case len(buckets):
+	default:
+		return fmt.Errorf("sthole: %d of %d serialized buckets lack a seq", len(buckets)-withSeq, len(buckets))
+	}
+	seen := make(map[uint64]bool, len(buckets))
+	h.seqCounter = 0
+	for _, b := range buckets {
+		if seen[b.seq] || b.seq == math.MaxUint64 {
+			return fmt.Errorf("sthole: serialized bucket seq %d is duplicated or out of range", b.seq)
+		}
+		seen[b.seq] = true
+		h.seqCounter = max(h.seqCounter, b.seq+1)
+	}
+	return nil
 }
 
 // GobEncode implements gob.GobEncoder via the JSON form, so histograms can
@@ -139,18 +182,18 @@ func (h *Histogram) GobEncode() ([]byte, error) { return h.MarshalJSON() }
 func (h *Histogram) GobDecode(data []byte) error { return h.UnmarshalJSON(data) }
 
 // copySubtree deep-copies b's subtree: fresh boxes, fresh child slices,
-// frequencies preserved, merge bookkeeping (seq) left zero.
+// frequencies and sequence numbers preserved.
 func copySubtree(b *Bucket) *Bucket {
-	nb := &Bucket{box: b.box.Clone(), freq: b.freq}
+	nb := &Bucket{box: b.box.Clone(), freq: b.freq, seq: b.seq}
 	for _, c := range b.children {
 		nb.attach(copySubtree(c))
 	}
 	return nb
 }
 
-// Clone returns a deep copy of the histogram (structure and frequencies;
-// stats and caches start fresh). Used by experiments that train one
-// histogram several ways from the same starting point.
+// Clone returns a deep copy of the histogram (structure, frequencies and
+// merge tie-break order; stats and caches start fresh). Used by experiments
+// that train one histogram several ways from the same starting point.
 func (h *Histogram) Clone() *Histogram {
 	c := &Histogram{
 		root:       copySubtree(h.root),
@@ -158,6 +201,7 @@ func (h *Histogram) Clone() *Histogram {
 		count:      h.count,
 		dims:       h.dims,
 		frozen:     h.frozen,
+		seqCounter: h.seqCounter,
 	}
 	c.resetMergeState()
 	return c
@@ -176,6 +220,7 @@ func (h *Histogram) Snapshot() *Histogram {
 		count:      h.count,
 		dims:       h.dims,
 		frozen:     h.frozen,
+		seqCounter: h.seqCounter,
 		Stats:      h.Stats,
 	}
 }

@@ -85,13 +85,13 @@ func (k MergeKind) String() string {
 }
 
 // MergeObserver receives one callback per executed merge: the kind, the
-// penalty (Eq. 2) of the selected candidate, and how long applying the merge
-// took. Callbacks run synchronously inside budget enforcement — on the drill
+// penalty (Eq. 2) of the selected candidate, and when applying the merge
+// started and how long it took. Callbacks run synchronously inside budget enforcement — on the drill
 // path, under whatever lock the caller holds around Drill — so
 // implementations must be fast and must not re-enter the histogram. A nil
 // observer (the default) adds no work and no allocations to the merge path.
 type MergeObserver interface {
-	ObserveMerge(kind MergeKind, penalty float64, d time.Duration)
+	ObserveMerge(kind MergeKind, penalty float64, start time.Time, d time.Duration)
 }
 
 // SetMergeObserver installs (or, with nil, removes) the merge observer.
@@ -307,7 +307,7 @@ func (h *Histogram) performBestMerge() {
 	}
 	if h.mergeObs != nil {
 		//sthlint:ignore determinism telemetry timing only; never feeds histogram state
-		h.mergeObs.ObserveMerge(MergeKind(choice.kind), choice.penalty, time.Since(start))
+		h.mergeObs.ObserveMerge(MergeKind(choice.kind), choice.penalty, start, time.Since(start))
 	}
 }
 

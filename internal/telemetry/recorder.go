@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -8,71 +9,49 @@ import (
 )
 
 // MergeKindParentChild / MergeKindSibling name the two STHoles merge kinds
-// in trace events and metric labels.
+// in spans and metric labels.
 const (
 	MergeKindParentChild = "parent-child"
 	MergeKindSibling     = "sibling"
 )
 
-// MergeOp is one merge executed during a feedback round.
+// MergeOp is one merge executed during a feedback round: its kind, its
+// Eq. 2 penalty, and when it started and how long it took.
 type MergeOp struct {
-	Kind    string  `json:"kind"`
-	Penalty float64 `json:"penalty"`
-	Nanos   int64   `json:"ns"`
+	Kind    string    `json:"kind"`
+	Penalty float64   `json:"penalty"`
+	Start   time.Time `json:"start"`
+	Nanos   int64     `json:"ns"`
 }
 
-// TraceEvent is one feedback round as captured by the flight recorder: the
-// query rectangle, what the histogram believed before the round, the
-// observed truth, the maintenance work the round triggered, and nanosecond
-// timings.
-type TraceEvent struct {
-	Seq           uint64    `json:"seq"`
-	Time          time.Time `json:"time"`
-	Lo            []float64 `json:"lo"`
-	Hi            []float64 `json:"hi"`
-	Estimate      float64   `json:"estimate"`
-	Actual        float64   `json:"actual"`
-	AbsError      float64   `json:"abs_error"`
-	Drills        int       `json:"drills"`
-	SkippedDrills int       `json:"skipped_drills"`
-	Merges        []MergeOp `json:"merges,omitempty"`
-	Nanos         int64     `json:"ns"`
-	Slow          bool      `json:"slow,omitempty"`
-}
-
-// Round is the input to Recorder.RecordRound: one feedback round observed by
-// the estimator. Query and Merges are borrowed for the duration of the call
-// (the recorder copies what it keeps), so the caller can reuse scratch
-// buffers.
+// Round is one feedback round observed by the estimator: the query, what
+// the histogram believed before the round, the observed truth, and the
+// maintenance work the round triggered. It is the input to
+// Recorder.RecordRound, which borrows Query and Merges for the duration of
+// the call, and the per-observation detail FeedbackBatch reports to callers
+// that ask for it.
 type Round struct {
-	Query    geom.Rect
-	Estimate float64 // estimate before the round
-	Actual   float64 // observed true cardinality
-	Trivial  float64 // 1-bucket (uniform) estimate, the NAE denominator term
-	Drills   int
-	Skipped  int
-	Merges   []MergeOp
-	Duration time.Duration
+	Query    geom.Rect     `json:"query"`
+	Estimate float64       `json:"estimate"` // estimate before the round
+	Actual   float64       `json:"actual"`   // observed true cardinality
+	Trivial  float64       `json:"trivial"`  // 1-bucket (uniform) estimate, the NAE denominator term
+	Drills   int           `json:"drills"`
+	Skipped  int           `json:"skipped_drills"`
+	Merges   []MergeOp     `json:"merges,omitempty"`
+	Duration time.Duration `json:"ns"`
 }
 
-// Recorder captures one table's feedback-round telemetry: the flight ring,
-// the slow-round log, the rolling accuracy windows and the per-table
-// instruments. A nil *Recorder is valid and records nothing.
+// Recorder holds one table's feedback-round telemetry: the rolling accuracy
+// windows and the per-table instruments. A nil *Recorder is valid and
+// records nothing.
 type Recorder struct {
-	table string
-
-	mu       sync.Mutex
-	ring     []TraceEvent  // fixed capacity; ring[next%cap] is the next slot; guarded by mu
-	next     uint64        // total rounds recorded; guarded by mu
-	slowRing []TraceEvent  // guarded by mu
-	slowNext uint64        // guarded by mu
-	slowThr  time.Duration // immutable after construction
+	slowThr time.Duration // immutable after construction
 
 	// Rolling accuracy windows: |est-actual| and |trivial-actual| over the
-	// last window rounds, with incrementally maintained sums. Rolling
+	// last len(absErr) rounds, with incrementally maintained sums. Rolling
 	// MAE = sumAbs/n (Eq. 9 over the window); rolling NAE = sumAbs/sumTriv
 	// (Eq. 10 — both means share the 1/n factor, so it cancels).
-	window  int       // immutable after construction
+	mu      sync.Mutex
 	absErr  []float64 // guarded by mu
 	trivErr []float64 // guarded by mu
 	winN    int       // guarded by mu
@@ -100,44 +79,16 @@ type Recorder struct {
 	rollingN     *Gauge
 }
 
-// Table returns the table name the recorder serves.
-func (r *Recorder) Table() string { return r.table }
-
-// SlowThreshold returns the slow-round threshold.
-func (r *Recorder) SlowThreshold() time.Duration { return r.slowThr }
-
-// RecordRound captures one feedback round: it appends a trace event to the
-// flight ring (and the slow log when the round exceeded the threshold),
-// advances the rolling error windows, and updates the instruments. The ring
-// slots reuse their Lo/Hi/Merges backing arrays, so steady-state recording
-// allocates only when a round's geometry outgrows the previous occupant of
-// its slot.
+// RecordRound folds one feedback round into the rolling error windows and
+// updates the instruments. It does not allocate.
 func (r *Recorder) RecordRound(round Round) {
 	if r == nil {
 		return
 	}
-	absErr := round.Estimate - round.Actual
-	if absErr < 0 {
-		absErr = -absErr
-	}
-	trivErr := round.Trivial - round.Actual
-	if trivErr < 0 {
-		trivErr = -trivErr
-	}
+	absErr := math.Abs(round.Estimate - round.Actual)
+	trivErr := math.Abs(round.Trivial - round.Actual)
 
 	r.mu.Lock()
-	// Flight ring: overwrite the oldest slot in place.
-	ev := &r.ring[r.next%uint64(len(r.ring))]
-	fillEvent(ev, r.next, round, absErr, round.Duration >= r.slowThr && r.slowThr > 0)
-	r.next++
-
-	if ev.Slow {
-		slot := &r.slowRing[r.slowNext%uint64(len(r.slowRing))]
-		copyEvent(slot, ev)
-		r.slowNext++
-	}
-
-	// Rolling windows.
 	if r.winN == len(r.absErr) {
 		r.sumAbs -= r.absErr[r.winIdx]
 		r.sumTriv -= r.trivErr[r.winIdx]
@@ -155,10 +106,9 @@ func (r *Recorder) RecordRound(round Round) {
 		nae = r.sumAbs / r.sumTriv
 	}
 	winN := r.winN
-	slow := ev.Slow
 	r.mu.Unlock()
 
-	// Instruments are atomic; update them outside the ring lock.
+	// Instruments are atomic; update them outside the window lock.
 	r.rounds.Inc()
 	r.drills.Add(uint64(round.Drills))
 	r.skipped.Add(uint64(round.Skipped))
@@ -172,37 +122,12 @@ func (r *Recorder) RecordRound(round Round) {
 		r.mergePenalty.Observe(m.Penalty)
 		r.mergeDur.Observe(float64(m.Nanos) / 1e9)
 	}
-	if slow {
+	if r.slowThr > 0 && round.Duration >= r.slowThr {
 		r.slowRounds.Inc()
 	}
 	r.rollingMAE.Set(mae)
 	r.rollingNAE.Set(nae)
 	r.rollingN.Set(float64(winN))
-}
-
-// fillEvent populates a ring slot in place, reusing its backing arrays.
-func fillEvent(ev *TraceEvent, seq uint64, round Round, absErr float64, slow bool) {
-	ev.Seq = seq
-	ev.Time = time.Now()
-	ev.Lo = append(ev.Lo[:0], round.Query.Lo...)
-	ev.Hi = append(ev.Hi[:0], round.Query.Hi...)
-	ev.Estimate = round.Estimate
-	ev.Actual = round.Actual
-	ev.AbsError = absErr
-	ev.Drills = round.Drills
-	ev.SkippedDrills = round.Skipped
-	ev.Merges = append(ev.Merges[:0], round.Merges...)
-	ev.Nanos = round.Duration.Nanoseconds()
-	ev.Slow = slow
-}
-
-// copyEvent deep-copies src into dst, reusing dst's backing arrays.
-func copyEvent(dst, src *TraceEvent) {
-	lo := append(dst.Lo[:0], src.Lo...)
-	hi := append(dst.Hi[:0], src.Hi...)
-	merges := append(dst.Merges[:0], src.Merges...)
-	*dst = *src
-	dst.Lo, dst.Hi, dst.Merges = lo, hi, merges
 }
 
 // RecordEstimate observes one serving-path estimate latency.
@@ -239,44 +164,6 @@ func (r *Recorder) RecordRejected() {
 		return
 	}
 	r.rejected.Inc()
-}
-
-// Last returns deep copies of the most recent n trace events, oldest first.
-// n <= 0 or n larger than the captured count returns everything retained.
-func (r *Recorder) Last(n int) []TraceEvent {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return lastEvents(r.ring, r.next, n)
-}
-
-// Slow returns deep copies of the most recent n slow-round events, oldest
-// first.
-func (r *Recorder) Slow(n int) []TraceEvent {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return lastEvents(r.slowRing, r.slowNext, n)
-}
-
-func lastEvents(ring []TraceEvent, next uint64, n int) []TraceEvent {
-	have := int(next)
-	if uint64(have) != next || have > len(ring) {
-		have = len(ring)
-	}
-	if n <= 0 || n > have {
-		n = have
-	}
-	out := make([]TraceEvent, n)
-	for i := 0; i < n; i++ {
-		src := &ring[(next-uint64(n-i))%uint64(len(ring))]
-		copyEvent(&out[i], src)
-	}
-	return out
 }
 
 // Rolling returns the current rolling-window accuracy: the number of rounds

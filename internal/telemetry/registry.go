@@ -1,9 +1,11 @@
-// Package telemetry is the observability plane of the serving stack: a
-// lock-cheap metrics registry with Prometheus text-format exposition, a
-// fixed-size flight recorder that captures one structured trace event per
-// feedback round, and online accuracy tracking (rolling-window mean absolute
+// Package telemetry is the metrics plane of the serving stack: a lock-cheap
+// registry with Prometheus text-format exposition, per-table feedback-round
+// instruments, and online accuracy tracking (rolling-window mean absolute
 // and normalized error, Eq. 9/10 of the paper, computed incrementally from
 // the live feedback stream instead of an offline evaluation workload).
+// Per-round detail (the query, the pre-round estimate, each merge) is not
+// kept here: it rides the feedback.apply span of traced requests (see
+// internal/trace).
 //
 // The package is stdlib-only and race-safe. Instrument hot paths are
 // implemented with atomics; the registry mutex is only taken when an

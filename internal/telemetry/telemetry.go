@@ -1,36 +1,40 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
 
 // Defaults for Options fields left zero.
 const (
-	DefaultTraceEvents   = 256
 	DefaultSlowThreshold = 50 * time.Millisecond
 	DefaultWindow        = 512
 )
 
+// DefaultTraceEvents is the former flight-recorder ring capacity.
+//
+// Deprecated: per-round detail rides the feedback.apply span of traced
+// requests (see internal/trace); Options.TraceEvents is ignored.
+const DefaultTraceEvents = 256
+
 // Options configures New.
 type Options struct {
-	// TraceEvents is the flight-recorder ring capacity per table.
+	// TraceEvents was the flight-recorder ring capacity per table.
+	//
+	// Deprecated: ignored; round detail rides the request's trace.
 	TraceEvents int
-	// SlowThreshold flags feedback rounds at or above this latency for the
-	// slow-round log. Zero uses the default; negative disables slow logging.
+	// SlowThreshold counts feedback rounds at or above this latency in
+	// sthist_slow_feedback_total. Zero uses the default; negative disables
+	// the count.
 	SlowThreshold time.Duration
 	// Window is the rolling accuracy window, in feedback rounds.
 	Window int
 }
 
-// Telemetry is the shared observability plane: one metrics registry plus a
-// per-table flight recorder. A nil *Telemetry is valid and disables
-// everything it would otherwise wire.
+// Telemetry is the shared metrics plane: one registry plus a per-table
+// recorder. A nil *Telemetry is valid and disables everything it would
+// otherwise wire.
 type Telemetry struct {
 	reg  *Registry
 	opts Options
@@ -41,14 +45,11 @@ type Telemetry struct {
 
 // New returns a telemetry plane with its own registry.
 func New(opts Options) *Telemetry {
-	if opts.TraceEvents <= 0 {
-		opts.TraceEvents = DefaultTraceEvents
-	}
 	if opts.SlowThreshold == 0 {
 		opts.SlowThreshold = DefaultSlowThreshold
 	}
 	if opts.SlowThreshold < 0 {
-		opts.SlowThreshold = 0 // disables slow logging (RecordRound checks > 0)
+		opts.SlowThreshold = 0 // disables the slow count (RecordRound checks > 0)
 	}
 	if opts.Window <= 0 {
 		opts.Window = DefaultWindow
@@ -77,18 +78,10 @@ func (t *Telemetry) Table(name string) *Recorder {
 		return r
 	}
 	lbl := L("table", name)
-	slowCap := 64
-	if slowCap > t.opts.TraceEvents {
-		slowCap = t.opts.TraceEvents
-	}
 	r := &Recorder{
-		table:    name,
-		ring:     make([]TraceEvent, t.opts.TraceEvents),
-		slowRing: make([]TraceEvent, slowCap),
-		slowThr:  t.opts.SlowThreshold,
-		window:   t.opts.Window,
-		absErr:   make([]float64, t.opts.Window),
-		trivErr:  make([]float64, t.opts.Window),
+		slowThr: t.opts.SlowThreshold,
+		absErr:  make([]float64, t.opts.Window),
+		trivErr: make([]float64, t.opts.Window),
 
 		rounds:       t.reg.Counter("sthist_feedback_rounds_total", "Feedback rounds processed.", lbl),
 		drills:       t.reg.Counter("sthist_drills_total", "Holes drilled by feedback rounds.", lbl),
@@ -112,88 +105,7 @@ func (t *Telemetry) Table(name string) *Recorder {
 	return r
 }
 
-// Recorders returns the table recorders, sorted by table name.
-func (t *Telemetry) Recorders() []*Recorder {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Recorder, 0, len(t.tables))
-	for _, r := range t.tables {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].table < out[j].table })
-	return out
-}
-
-// lookupTable returns the recorder for name, or nil when absent — unlike
-// Table it never creates one (the trace handler must not mint recorders for
-// arbitrary query strings).
-func (t *Telemetry) lookupTable(name string) *Recorder {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tables[name]
-}
-
 // MetricsHandler serves GET /metrics in Prometheus text format.
 func (t *Telemetry) MetricsHandler() http.Handler {
 	return t.reg.MetricsHandler()
-}
-
-// TraceHandler serves GET /debug/trace?table=T&n=K[&slow=1]: the last K
-// flight-recorder events of table T as JSON, oldest first. Without n it
-// returns everything retained; with slow=1 it serves the slow-round log
-// instead of the full ring. Malformed parameters — an unknown table, a
-// non-integer or negative n, a slow value other than 0/1/true/false — are
-// rejected with 400 rather than silently defaulted, so a typo in a debug
-// session cannot masquerade as an empty result.
-func (t *Telemetry) TraceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		name := req.URL.Query().Get("table")
-		rec := t.lookupTable(name)
-		if rec == nil {
-			http.Error(w, fmt.Sprintf("unknown table %q", name), http.StatusBadRequest)
-			return
-		}
-		n := 0
-		if s := req.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				http.Error(w, fmt.Sprintf("bad n %q", s), http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		slow := false
-		switch s := req.URL.Query().Get("slow"); s {
-		case "", "0", "false":
-		case "1", "true":
-			slow = true
-		default:
-			http.Error(w, fmt.Sprintf("bad slow %q (want 0 or 1)", s), http.StatusBadRequest)
-			return
-		}
-		var events []TraceEvent
-		if slow {
-			events = rec.Slow(n)
-		} else {
-			events = rec.Last(n)
-		}
-		if events == nil {
-			events = []TraceEvent{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"table":  name,
-			"events": events,
-		})
-	})
 }

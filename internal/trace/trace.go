@@ -212,18 +212,22 @@ func (t *Tracer) startLocal(sc SpanContext, parent SpanID, name string) *Span {
 	s := &Span{
 		tracer: t,
 		sc:     sc,
-		parent: parent,
+		id:     sc.SpanID.String(),
 		name:   name,
 		start:  time.Now(),
 	}
-	s.lt = &localTrace{root: s}
+	if !parent.IsZero() {
+		s.parentID = parent.String()
+	}
+	s.lt = &localTrace{root: s, traceID: sc.TraceID.String()}
 	return s
 }
 
 // localTrace buffers the finished spans of one process-local subtree until
 // its root ends and the retention decision is made.
 type localTrace struct {
-	root *Span // immutable
+	root    *Span  // immutable
+	traceID string // root's trace ID in hex, shared by every span; immutable
 
 	mu      sync.Mutex
 	spans   []SpanData // guarded by mu
@@ -260,12 +264,13 @@ func (lt *localTrace) record(t *Tracer, sd SpanData, isRoot bool) {
 // Span is one in-flight operation. Nil spans are no-ops, so unsampled and
 // untraced paths need no branches at call sites.
 type Span struct {
-	tracer *Tracer
-	lt     *localTrace
-	sc     SpanContext // immutable
-	parent SpanID      // immutable
-	name   string      // immutable
-	start  time.Time   // immutable
+	tracer   *Tracer
+	lt       *localTrace
+	sc       SpanContext // immutable
+	id       string      // sc.SpanID in hex; immutable
+	parentID string      // parent span ID in hex, "" for a trace root; immutable
+	name     string      // immutable
+	start    time.Time   // immutable
 
 	mu     sync.Mutex
 	attrs  []Attr // guarded by mu
@@ -288,7 +293,7 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.sc.TraceID.String()
+	return s.lt.traceID
 }
 
 // SetAttr attaches one key/value attribute.
@@ -319,14 +324,26 @@ func (s *Span) StartChild(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{
-		tracer: s.tracer,
-		lt:     s.lt,
-		sc:     SpanContext{TraceID: s.sc.TraceID, SpanID: s.tracer.newSpanID(), Sampled: s.sc.Sampled},
-		parent: s.sc.SpanID,
-		name:   name,
-		start:  time.Now(),
+	return s.StartChildAt(name, time.Now(), attrs...)
+}
+
+// StartChildAt is StartChild for a stage timed after the fact: the child
+// starts at start and is finished with EndAt. The writer goroutine uses it
+// for stages whose detail and sub-stages it learns only once a batched call
+// has returned.
+func (s *Span) StartChildAt(name string, start time.Time, attrs ...Attr) *Span {
+	if s == nil {
+		return nil
 	}
+	c := &Span{
+		tracer:   s.tracer,
+		lt:       s.lt,
+		sc:       SpanContext{TraceID: s.sc.TraceID, SpanID: s.tracer.newSpanID(), Sampled: s.sc.Sampled},
+		parentID: s.id,
+		name:     name,
+		start:    start,
+	}
+	c.id = c.sc.SpanID.String()
 	if len(attrs) > 0 {
 		c.mu.Lock()
 		c.attrs = append(c.attrs, attrs...)
@@ -344,9 +361,9 @@ func (s *Span) Event(name string, start time.Time, d time.Duration, errMsg strin
 		return
 	}
 	sd := SpanData{
-		TraceID:    s.sc.TraceID.String(),
+		TraceID:    s.lt.traceID,
 		SpanID:     s.tracer.newSpanID().String(),
-		ParentID:   s.sc.SpanID.String(),
+		ParentID:   s.id,
 		Name:       name,
 		Service:    s.tracer.service,
 		Start:      start,
@@ -365,7 +382,15 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.start)
+	s.EndAt(time.Now())
+}
+
+// EndAt finishes the span as End would have at time end.
+func (s *Span) EndAt(end time.Time) {
+	if s == nil {
+		return
+	}
+	d := end.Sub(s.start)
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
@@ -373,8 +398,9 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	sd := SpanData{
-		TraceID:    s.sc.TraceID.String(),
-		SpanID:     s.sc.SpanID.String(),
+		TraceID:    s.lt.traceID,
+		SpanID:     s.id,
+		ParentID:   s.parentID,
 		Name:       s.name,
 		Service:    s.tracer.service,
 		Start:      s.start,
@@ -384,9 +410,6 @@ func (s *Span) End() {
 	}
 	s.attrs = nil
 	s.mu.Unlock()
-	if !s.parent.IsZero() {
-		sd.ParentID = s.parent.String()
-	}
 	s.lt.record(s.tracer, sd, s == s.lt.root)
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -257,41 +256,4 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	if len(tr.Recent(0)) == 0 {
 		t.Fatalf("hammer retained nothing")
 	}
-}
-
-func TestWALTapChainsAndTakes(t *testing.T) {
-	var got []string
-	next := &recordingObserver{log: &got}
-	tap := &WALTap{Next: next}
-	tap.ObserveAppend(2*time.Millisecond, nil)
-	tap.ObserveSync(time.Millisecond, errors.New("sync fail"))
-	tap.ObserveCheckpoint(time.Second, nil)
-
-	tm := tap.Take()
-	if !tm.HasAppend || tm.Append != 2*time.Millisecond || tm.AppendErr != nil {
-		t.Fatalf("append timing %+v", tm)
-	}
-	if !tm.HasSync || tm.Sync != time.Millisecond || tm.SyncErr == nil {
-		t.Fatalf("sync timing %+v", tm)
-	}
-	if again := tap.Take(); again.HasAppend || again.HasSync {
-		t.Fatalf("Take did not reset: %+v", again)
-	}
-	want := []string{"append", "sync", "checkpoint"}
-	if len(got) != len(want) {
-		t.Fatalf("chained observer saw %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("chained observer saw %v, want %v", got, want)
-		}
-	}
-}
-
-type recordingObserver struct{ log *[]string }
-
-func (r *recordingObserver) ObserveAppend(time.Duration, error) { *r.log = append(*r.log, "append") }
-func (r *recordingObserver) ObserveSync(time.Duration, error)   { *r.log = append(*r.log, "sync") }
-func (r *recordingObserver) ObserveCheckpoint(time.Duration, error) {
-	*r.log = append(*r.log, "checkpoint")
 }

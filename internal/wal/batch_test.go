@@ -55,7 +55,7 @@ func TestAppendBatchContiguousSeqsAndReplay(t *testing.T) {
 	if seq, err := l.Append(rec(0, []float64{-1}, []float64{0}, 7)); err != nil || seq != 1 {
 		t.Fatalf("single append: seq=%d err=%v", seq, err)
 	}
-	first, err := l.AppendBatch(batchRecs(4))
+	first, _, err := l.AppendBatch(batchRecs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAppendBatchOneFsyncPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.AppendBatch(batchRecs(64)); err != nil {
+	if _, _, err := l.AppendBatch(batchRecs(64)); err != nil {
 		t.Fatal(err)
 	}
 	appends, syncs := obs.counts()
@@ -123,9 +123,9 @@ func TestAppendBatchEmptyIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	seq, err := l.AppendBatch(nil)
-	if err != nil || seq != 0 {
-		t.Fatalf("empty batch: seq=%d err=%v", seq, err)
+	seq, tm, err := l.AppendBatch(nil)
+	if err != nil || seq != 0 || tm != (Timings{}) {
+		t.Fatalf("empty batch: seq=%d timings=%+v err=%v", seq, tm, err)
 	}
 	if appends, syncs := obs.counts(); appends != 0 || syncs != 0 {
 		t.Fatalf("empty batch touched the file: appends=%d syncs=%d", appends, syncs)
@@ -146,10 +146,10 @@ func TestAppendBatchFailureIsStickyAndTornTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(batchRecs(3)); err != nil {
+	if _, _, err := l.AppendBatch(batchRecs(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(batchRecs(5)); !errors.Is(err, faultfs.ErrInjected) {
+	if _, _, err := l.AppendBatch(batchRecs(5)); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("short-written batch err = %v", err)
 	}
 	// The failure is sticky: nothing else is acknowledged on this segment.
@@ -187,5 +187,48 @@ func TestAppendBatchFailureIsStickyAndTornTailRecovers(t *testing.T) {
 	want := uint64(len(rc.Records)) + 1
 	if seq, err := l2.Append(rec(0, []float64{4}, []float64{5}, 2)); err != nil || seq != want {
 		t.Fatalf("append after recovery: seq=%d err=%v, want seq %d", seq, err, want)
+	}
+}
+
+// TestAppendBatchReportsStageTimings pins the timings a traced batch turns
+// into wal.append and wal.fsync spans: which stages ran and, when the batch
+// fails, that the last stage that ran is the one that failed.
+func TestAppendBatchReportsStageTimings(t *testing.T) {
+	// On a fresh directory the initial manifest takes the first write and
+	// the first fsync, so the batch's own are the second of each.
+	cases := map[string]struct {
+		faults           []faultfs.Fault
+		sync             SyncPolicy
+		appended, synced bool
+		fails            bool
+	}{
+		"ok":          {nil, SyncAlways, true, true, false},
+		"no fsync":    {nil, SyncNever, true, false, false},
+		"write fails": {[]faultfs.Fault{{Op: faultfs.OpWrite, Nth: 2}}, SyncAlways, true, false, true},
+		"fsync fails": {[]faultfs.Fault{{Op: faultfs.OpSync, Nth: 2}}, SyncAlways, true, true, true},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			fs := faultfs.NewInjector(faultfs.OS{}, c.faults...)
+			l, _, err := Open(filepath.Join(t.TempDir(), "t"), Options{FS: fs, Sync: c.sync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			_, tm, err := l.AppendBatch(batchRecs(3))
+			if (err != nil) != c.fails || tm.Appended != c.appended || tm.Synced != c.synced {
+				t.Fatalf("timings %+v, err %v; want appended=%v synced=%v fails=%v", tm, err, c.appended, c.synced, c.fails)
+			}
+			if !tm.Synced && tm.Sync != 0 {
+				t.Errorf("fsync that did not run has a duration: %+v", tm)
+			}
+			if !c.fails {
+				return
+			}
+			// A failed log runs no stage until a checkpoint heals it.
+			if _, tm, err := l.AppendBatch(batchRecs(1)); err == nil || tm != (Timings{}) {
+				t.Errorf("append to a failed log: timings %+v, err %v", tm, err)
+			}
+		})
 	}
 }

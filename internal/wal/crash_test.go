@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"sthist"
+	"sthist/internal/datagen"
 	"sthist/internal/wal"
+	"sthist/internal/workload"
 )
 
 // crashTable builds the deterministic data the crash-recovery scenario
@@ -60,6 +62,70 @@ func probeQueries(rng *rand.Rand, n int) []sthist.Rect {
 	return out
 }
 
+// crashFeedback is one observation of a crash scenario's feedback stream.
+type crashFeedback struct {
+	q      sthist.Rect
+	actual float64
+}
+
+// crashScenario is one input of TestCrashRecoveryBitIdentical: how to open
+// the served estimator, its feedback stream, the probes that compare
+// estimators, where the checkpoint falls and the extra random crash cuts.
+type crashScenario struct {
+	open         func(t *testing.T) *sthist.Estimator
+	workload     []crashFeedback
+	probes       []sthist.Rect
+	checkpointAt int
+	randomCuts   int
+}
+
+// clustersScenario serves crashTable and checkpoints after 40 of 120
+// observations.
+func clustersScenario(t *testing.T) crashScenario {
+	tab := crashTable(t)
+	open := func(t *testing.T) *sthist.Estimator { return crashOpen(t, tab) }
+	rng := rand.New(rand.NewSource(17))
+	ref := open(t)
+	var fbs []crashFeedback
+	for _, q := range probeQueries(rng, 120) {
+		fbs = append(fbs, crashFeedback{q, ref.TrueCount(q)})
+	}
+	return crashScenario{open: open, workload: fbs, probes: probeQueries(rng, 50), checkpointAt: 40, randomCuts: 10}
+}
+
+// crossScenario is the feedback stream of the end-to-end benchmark's ingest
+// workload on a tenth of its table: data seed 1, feedback seed 2, probe seed
+// 3, 100 buckets, MineClus seed 1. Before bucket sequence numbers were
+// serialized, the histogram reloaded from the checkpoint at observation 400
+// broke equal-penalty merge ties differently from the live one, and 278 of
+// the 500 probes diverged within the next 100 observations.
+func crossScenario(t *testing.T) crashScenario {
+	ds := datagen.Cross(0.1, 1)
+	open := func(t *testing.T) *sthist.Estimator {
+		t.Helper()
+		est, err := sthist.Open(ds.Table, sthist.Options{Buckets: 100, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	ref := open(t)
+	gen := func(n int, seed int64) []sthist.Rect {
+		qs, err := workload.Generate(ref.Domain(), workload.Config{
+			VolumeFraction: 0.01, Centers: workload.DataCenters, N: n, Seed: seed,
+		}, ds.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qs
+	}
+	var fbs []crashFeedback
+	for _, q := range gen(500, 2) {
+		fbs = append(fbs, crashFeedback{q, ref.TrueCount(q)})
+	}
+	return crashScenario{open: open, workload: fbs, probes: gen(500, 3), checkpointAt: 400}
+}
+
 // TestCrashRecoveryBitIdentical is the headline durability test: a serving
 // estimator WAL-logs every feedback and checkpoints part-way through; the
 // "crash" truncates the live segment at an arbitrary byte offset (including
@@ -69,21 +135,12 @@ func probeQueries(rng *rand.Rand, n int) []sthist.Rect {
 // feedback prefix — proving that snapshot + replay loses nothing and alters
 // nothing beyond the records the crash destroyed.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
-	tab := crashTable(t)
-	rng := rand.New(rand.NewSource(17))
+	t.Run("clusters", func(t *testing.T) { checkCrashRecovery(t, clustersScenario(t)) })
+	t.Run("cross", func(t *testing.T) { checkCrashRecovery(t, crossScenario(t)) })
+}
 
-	// The feedback workload, with exact counts as the observed truths.
-	ref := crashOpen(t, tab)
-	type fb struct {
-		q      sthist.Rect
-		actual float64
-	}
-	workload := make([]fb, 0, 120)
-	for _, q := range probeQueries(rng, 120) {
-		workload = append(workload, fb{q, ref.TrueCount(q)})
-	}
-	probes := probeQueries(rng, 50)
-	const checkpointAt = 40 // feedbacks applied before the snapshot rotates
+func checkCrashRecovery(t *testing.T, sc crashScenario) {
+	rng := rand.New(rand.NewSource(19))
 
 	// The durable run: log + apply every feedback, checkpoint mid-stream.
 	dir := filepath.Join(t.TempDir(), "orders")
@@ -94,15 +151,15 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if rc.Snapshot != nil || len(rc.Records) != 0 {
 		t.Fatalf("fresh dir recovered %+v", rc)
 	}
-	served := crashOpen(t, tab)
-	for i, f := range workload {
+	served := sc.open(t)
+	for i, f := range sc.workload {
 		if _, err := l.Append(wal.Record{Lo: f.q.Lo, Hi: f.q.Hi, Actual: f.actual}); err != nil {
 			t.Fatal(err)
 		}
 		if err := served.Feedback(f.q, f.actual); err != nil {
 			t.Fatal(err)
 		}
-		if i+1 == checkpointAt {
+		if i+1 == sc.checkpointAt {
 			var buf bytes.Buffer
 			if err := served.SaveHistogram(&buf); err != nil {
 				t.Fatal(err)
@@ -132,7 +189,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	// Crash at arbitrary segment offsets, including 0 (right after the
 	// checkpoint) and len (no tail loss), and mid-record in between.
 	cuts := []int{0, 1, len(segData) / 3, len(segData) / 2, len(segData) - 1, len(segData)}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < sc.randomCuts; i++ {
 		cuts = append(cuts, rng.Intn(len(segData)+1))
 	}
 	for _, cut := range cuts {
@@ -158,7 +215,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		if rc2.Snapshot == nil {
 			t.Fatalf("cut=%d: snapshot lost", cut)
 		}
-		recovered := crashOpen(t, tab)
+		recovered := sc.open(t)
 		if err := recovered.LoadHistogram(bytes.NewReader(rc2.Snapshot)); err != nil {
 			t.Fatalf("cut=%d: loading snapshot: %v", cut, err)
 		}
@@ -175,18 +232,18 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 
 		// The uninterrupted reference: a fresh estimator that applies
 		// exactly the feedback prefix that survived the crash.
-		survived := checkpointAt + len(rc2.Records)
-		if survived > len(workload) {
-			t.Fatalf("cut=%d: %d records survived a %d-feedback run", cut, survived, len(workload))
+		survived := sc.checkpointAt + len(rc2.Records)
+		if survived > len(sc.workload) {
+			t.Fatalf("cut=%d: %d records survived a %d-feedback run", cut, survived, len(sc.workload))
 		}
-		uninterrupted := crashOpen(t, tab)
-		for _, f := range workload[:survived] {
+		uninterrupted := sc.open(t)
+		for _, f := range sc.workload[:survived] {
 			if err := uninterrupted.Feedback(f.q, f.actual); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		for pi, p := range probes {
+		for pi, p := range sc.probes {
 			got := recovered.Estimate(p)
 			want := uninterrupted.Estimate(p)
 			if math.Float64bits(got) != math.Float64bits(want) {

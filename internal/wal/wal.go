@@ -109,7 +109,7 @@ type Log struct {
 	mu      sync.Mutex
 	fs      faultfs.FS   // immutable after Open
 	dir     string       // immutable after Open
-	opts    Options      // immutable after Open, except Observer (SetObserver); all access under mu
+	opts    Options      // immutable after Open
 	f       faultfs.File // active segment, append mode; guarded by mu
 	seg     string       // active segment file name; guarded by mu
 	snap    string       // live checkpoint file name ("" when none); guarded by mu
@@ -244,14 +244,25 @@ func (l *Log) Append(r Record) (uint64, error) {
 	defer l.mu.Unlock()
 	var one [1]Record
 	one[0] = r
-	return l.appendBatchLocked(one[:])
+	seq, _, err := l.appendBatchLocked(one[:])
+	return seq, err
+}
+
+// Timings is what one AppendBatch spent on each durability stage: Append
+// covers framing and the write, Sync the fsync that followed. Appended and
+// Synced report which stages ran; when AppendBatch fails, the last stage
+// that ran is the one that failed.
+type Timings struct {
+	Append, Sync     time.Duration
+	Appended, Synced bool
 }
 
 // AppendBatch is the group-commit primitive: it frames every record in recs,
 // writes all frames to the active segment with a single Write, and performs
 // at most one fsync for the whole batch (per policy). Sequence numbers are
 // assigned contiguously by the log — recs[i] becomes firstSeq+i, and the
-// passed Seq fields are ignored. An empty batch is a no-op.
+// passed Seq fields are ignored. An empty batch is a no-op. The returned
+// Timings let a caller trace the batch's stages.
 //
 // On error nothing is acknowledged and the sticky-error rule applies
 // exactly as for Append. As with a failed single append, a crash or write
@@ -260,86 +271,63 @@ func (l *Log) Append(r Record) (uint64, error) {
 // callers get at-least-once semantics either way. The Observer sees one
 // ObserveAppend and at most one ObserveSync per batch — fsyncs-per-record
 // under load is how group-commit effectiveness is measured.
-func (l *Log) AppendBatch(recs []Record) (uint64, error) {
+func (l *Log) AppendBatch(recs []Record) (uint64, Timings, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.appendBatchLocked(recs)
 }
 
-func (l *Log) appendBatchLocked(recs []Record) (uint64, error) {
+func (l *Log) appendBatchLocked(recs []Record) (uint64, Timings, error) {
+	var t Timings
 	if len(recs) == 0 {
-		return 0, nil
+		return 0, t, nil
 	}
 	if l.err != nil {
-		return 0, fmt.Errorf("wal: log is failed (checkpoint to recover): %w", l.err)
+		return 0, t, fmt.Errorf("wal: log is failed (checkpoint to recover): %w", l.err)
 	}
 	obs := l.opts.Observer
-	var start time.Time
-	if obs != nil {
-		start = time.Now()
-	}
 	firstSeq := l.lastSeq + 1
+	start := time.Now()
+	t.Appended = true
 	buf := l.buf[:0]
-	var err error
+	var err, werr error // werr, a failed write, is sticky; a framing error is not
 	for i := range recs {
 		r := recs[i]
 		r.Seq = firstSeq + uint64(i)
-		buf, err = appendFrame(buf, r)
-		if err != nil {
-			if obs != nil {
-				obs.ObserveAppend(time.Since(start), err)
-			}
-			return 0, err
+		if buf, err = appendFrame(buf, r); err != nil {
+			break
 		}
 	}
-	l.buf = buf
-	if _, err := l.f.Write(buf); err != nil {
-		l.err = err
-		if obs != nil {
-			obs.ObserveAppend(time.Since(start), err)
-		}
-		return 0, fmt.Errorf("wal: append: %w", err)
+	if err == nil {
+		l.buf = buf
+		_, werr = l.f.Write(buf)
+		err = werr
 	}
+	t.Append = time.Since(start)
 	if obs != nil {
-		obs.ObserveAppend(time.Since(start), nil)
+		obs.ObserveAppend(t.Append, err)
+	}
+	if werr != nil {
+		l.err = werr
+		return 0, t, fmt.Errorf("wal: append: %w", werr)
+	}
+	if err != nil {
+		return 0, t, err
 	}
 	if l.opts.Sync == SyncAlways {
+		start = time.Now()
+		err = l.f.Sync()
+		t.Sync, t.Synced = time.Since(start), true
 		if obs != nil {
-			start = time.Now()
+			obs.ObserveSync(t.Sync, err)
 		}
-		if err := l.f.Sync(); err != nil {
+		if err != nil {
 			l.err = err
-			if obs != nil {
-				obs.ObserveSync(time.Since(start), err)
-			}
-			return 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		if obs != nil {
-			obs.ObserveSync(time.Since(start), nil)
+			return 0, t, fmt.Errorf("wal: fsync: %w", err)
 		}
 	}
 	l.lastSeq = firstSeq + uint64(len(recs)) - 1
-	return firstSeq, nil
-}
-
-// SetObserver replaces the log's observer. The observability layers use it
-// to interpose on an already-open log — e.g. chaining a per-request tracing
-// tap in front of the metrics observer — without reopening. The swap is
-// serialized against appends and checkpoints by the log's lock; callbacks on
-// the new observer follow the same rules as Options.Observer (synchronous,
-// under the lock, no re-entry).
-func (l *Log) SetObserver(o Observer) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.opts.Observer = o
-}
-
-// CurrentObserver returns the observer receiving durability callbacks, or
-// nil. Lets a wrapper chain to whatever was installed before it.
-func (l *Log) CurrentObserver() Observer {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opts.Observer
+	return firstSeq, t, nil
 }
 
 // Checkpoint makes snapshot the new recovery base and starts an empty

@@ -61,6 +61,10 @@ type (
 	Cluster = mineclus.Cluster
 	// ClusterConfig holds MineClus parameters (alpha, beta, width, ...).
 	ClusterConfig = mineclus.Config
+	// Round is the detail of one feedback round: the query, the estimate
+	// before the round, the observed truth, drills, skipped drills, merges
+	// (kind and Eq. 2 penalty) and duration. See Observation.Round.
+	Round = telemetry.Round
 )
 
 // NewRect validates and builds a rectangle from its corners.
@@ -167,7 +171,8 @@ type Estimator struct {
 	// Telemetry (optional, see SetRecorder). rec is nil when disabled; the
 	// nil path adds a single branch to the feedback round and keeps it
 	// allocation-free. mergeScratch collects the merges of the current round
-	// (reused across rounds) via the tap installed on the histogram.
+	// (reused across rounds) via the tap installed on the histogram while a
+	// recorder is attached or a caller asked for the round's detail.
 	rec          *telemetry.Recorder
 	mergeScratch []telemetry.MergeOp
 }
@@ -176,18 +181,18 @@ type Estimator struct {
 // callback on the public API. It runs inside Drill, under the writer lock.
 type mergeTap struct{ e *Estimator }
 
-func (t mergeTap) ObserveMerge(kind sthole.MergeKind, penalty float64, d time.Duration) {
+func (t mergeTap) ObserveMerge(kind sthole.MergeKind, penalty float64, start time.Time, d time.Duration) {
 	t.e.mergeScratch = append(t.e.mergeScratch, telemetry.MergeOp{
-		Kind: kind.String(), Penalty: penalty, Nanos: d.Nanoseconds(),
+		Kind: kind.String(), Penalty: penalty, Start: start, Nanos: d.Nanoseconds(),
 	})
 }
 
 // SetRecorder wires a telemetry recorder into the estimator: every feedback
-// round is captured as a flight-recorder trace event and folded into the
-// rolling accuracy window, every merge is observed with its kind and
-// penalty, and every snapshot publication records its latency. Pass nil to
-// detach. Call before serving traffic — the recorder reference is read
-// without synchronization on the validation fast path.
+// round is folded into the rolling accuracy window and the round
+// instruments, every merge is observed with its kind and penalty, and every
+// snapshot publication records its latency. Pass nil to detach. Call before
+// serving traffic — the recorder reference is read without synchronization
+// on the validation fast path.
 func (e *Estimator) SetRecorder(rec *telemetry.Recorder) {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -349,7 +354,7 @@ func (e *Estimator) Feedback(q Rect, actual float64) error {
 			return actual
 		}
 		return actual * q.IntersectionVolume(r) / vol
-	}, actual, true)
+	}, actual, true, nil)
 	if changed {
 		e.publishLocked()
 	}
@@ -369,7 +374,7 @@ func (e *Estimator) FeedbackWith(q Rect, count func(r Rect) float64) error {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	changed, err := e.drillLocked(q, count, 0, false)
+	changed, err := e.drillLocked(q, count, 0, false, nil)
 	if changed {
 		e.publishLocked()
 	}
@@ -381,6 +386,12 @@ func (e *Estimator) FeedbackWith(q Rect, count func(r Rect) float64) error {
 type Observation struct {
 	Query  Rect
 	Actual float64
+	// Round, when non-nil, receives the detail of the round that applied
+	// this observation, as a recorder sees it. The merge list is copied into
+	// Round.Merges, reusing its backing array. An observation that fails
+	// (non-nil entry in FeedbackBatch's result) leaves Round untouched.
+	// Asking costs a clock read and a pre-round estimate per observation.
+	Round *Round
 }
 
 // FeedbackBatch applies a batch of observations under a single writer-lock
@@ -411,7 +422,7 @@ func (e *Estimator) FeedbackBatch(obs []Observation) []error {
 				return actual
 			}
 			return actual * q.IntersectionVolume(r) / vol
-		}, actual, true)
+		}, actual, true, obs[i].Round)
 		changed = changed || ch
 		errs[i] = err
 	}
@@ -432,7 +443,7 @@ func (e *Estimator) Train(queries []Rect) {
 	for _, q := range queries {
 		// Exact counts from our own index cannot fail validation; drill
 		// errors (recovered panics) quarantine internally.
-		ch, _ := e.drillLocked(q, e.exact, 0, false)
+		ch, _ := e.drillLocked(q, e.exact, 0, false, nil)
 		changed = changed || ch
 	}
 	if changed {
@@ -450,17 +461,19 @@ func (e *Estimator) Train(queries []Rect) {
 // actual is the observed whole-query cardinality when haveActual is true;
 // otherwise the instrumented path obtains it with one extra count(q) call
 // (exact-count feedback sources return the true value for the full query).
-// With no recorder attached the round takes the lean path: no timestamps, no
+// The round's detail goes to the recorder and, when out is non-nil, to out.
+// With neither the round takes the lean path: no timestamps, no
 // pre-estimate, no allocations.
-func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, haveActual bool) (changed bool, err error) {
+func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, haveActual bool, out *Round) (changed bool, err error) {
 	rec := e.rec
+	detail := rec != nil || out != nil
 	drills0 := e.work.Stats.Drills
 	quar0 := e.quarantines
 	deg0 := e.degraded
 	var start time.Time
 	var preEst float64
 	var statsBefore sthole.Stats
-	if rec != nil {
+	if detail {
 		start = time.Now()
 		preEst = e.work.Estimate(q)
 		if !haveActual {
@@ -468,6 +481,12 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 		}
 		e.mergeScratch = e.mergeScratch[:0]
 		statsBefore = e.work.Stats
+		if rec == nil {
+			// Only this round's caller wants the merges: tap them for
+			// this round alone.
+			e.work.SetMergeObserver(mergeTap{e})
+			defer e.installTapLocked()
+		}
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -493,7 +512,7 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 		}
 	}
 	changed = e.work.Stats.Drills != drills0 || e.quarantines != quar0 || e.degraded != deg0
-	if rec != nil {
+	if detail {
 		st := e.work.Stats
 		// A quarantine mid-round replaces the histogram (fresh stats); clamp
 		// the deltas so the counters never go backwards.
@@ -510,7 +529,7 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 		if v := e.domain.Volume(); v > 0 {
 			triv = total * e.domain.IntersectionVolume(q) / v
 		}
-		rec.RecordRound(telemetry.Round{
+		round := Round{
 			Query:    q,
 			Estimate: preEst,
 			Actual:   actual,
@@ -519,7 +538,13 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 			Skipped:  skipped,
 			Merges:   e.mergeScratch,
 			Duration: time.Since(start),
-		})
+		}
+		rec.RecordRound(round)
+		if out != nil {
+			// mergeScratch is reused by the next round: copy it out.
+			round.Merges = append(out.Merges[:0], round.Merges...)
+			*out = round
+		}
 	}
 	return changed, nil
 }

@@ -2,6 +2,8 @@ package sthist
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"sthist/internal/datagen"
@@ -35,9 +37,10 @@ func TestRollingNAEDecreasesOnCross(t *testing.T) {
 	est.SetRecorder(rec)
 
 	var naeEarly float64
+	var last Round
 	for i, q := range qs {
-		if err := est.Feedback(q, est.TrueCount(q)); err != nil {
-			t.Fatal(err)
+		if errs := est.FeedbackBatch([]Observation{{Query: q, Actual: est.TrueCount(q), Round: &last}}); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 		if i == 99 {
 			_, _, naeEarly = rec.Rolling()
@@ -56,44 +59,94 @@ func TestRollingNAEDecreasesOnCross(t *testing.T) {
 	if mae < 0 {
 		t.Errorf("rolling MAE = %g", mae)
 	}
-	evs := rec.Last(5)
-	if len(evs) != 5 {
-		t.Fatalf("flight recorder retained %d events, want 5", len(evs))
-	}
-	last := evs[len(evs)-1]
-	if last.Actual != est.TrueCount(qs[len(qs)-1]) {
-		t.Errorf("last trace event actual = %g, want the fed truth", last.Actual)
+	if q := qs[len(qs)-1]; last.Actual != est.TrueCount(q) || !last.Query.Equal(q) {
+		t.Errorf("last round = %+v, want the fed query and truth", last)
 	}
 }
 
-// TestFeedbackSteadyStateZeroAllocs asserts the PR 1 invariant survives the
-// telemetry hooks: with no recorder attached, a steady-state feedback round
-// (every candidate drill skipped, amortized validation off) performs zero
-// heap allocations.
+// TestFeedbackBatchReportsRoundDetail checks the per-observation detail
+// FeedbackBatch hands back: the round as the recorder saw it, merges copied
+// out of the estimator's reused scratch, rejected observations untouched,
+// and the same detail with no recorder attached.
+func TestFeedbackBatchReportsRoundDetail(t *testing.T) {
+	withRec, qs := crossEstimator(t, 5, 80)
+	bare, _ := crossEstimator(t, 5, 80)
+	tel := telemetry.New(telemetry.Options{SlowThreshold: -1})
+	withRec.SetRecorder(tel.Table("cross"))
+
+	var rounds []Round
+	var penalties float64
+	for _, q := range qs {
+		var a, b Round
+		errs := withRec.FeedbackBatch([]Observation{{Query: q, Actual: withRec.TrueCount(q), Round: &a}})
+		errs = append(errs, bare.FeedbackBatch([]Observation{{Query: q, Actual: bare.TrueCount(q), Round: &b}})...)
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatal(errs)
+		}
+		if !a.Query.Equal(q) || a.Estimate != b.Estimate || a.Drills != b.Drills || len(a.Merges) != len(b.Merges) {
+			t.Fatalf("round detail differs with and without a recorder: %+v vs %+v", a, b)
+		}
+		for _, m := range a.Merges {
+			penalties += m.Penalty
+		}
+		rounds = append(rounds, a)
+	}
+	merged := 0
+	for _, r := range rounds {
+		merged += len(r.Merges)
+	}
+	if merged == 0 {
+		t.Fatal("a 5-bucket histogram never merged")
+	}
+	// Each round's merges survived the rounds after it, and they are what
+	// the recorder's penalty histogram saw.
+	h := tel.Registry().Histogram("sthist_merge_penalty", "", telemetry.PenaltyBuckets(), telemetry.L("table", "cross"))
+	if h.Count() != uint64(merged) || math.Abs(h.Sum()-penalties) > 1e-9*math.Max(1, penalties) {
+		t.Errorf("rounds carry %d merges (penalty sum %g), recorder saw %d (sum %g)", merged, penalties, h.Count(), h.Sum())
+	}
+
+	untouched := Round{Drills: -1}
+	bad := []Observation{{Query: qs[0], Actual: -1, Round: &untouched}}
+	if errs := bare.FeedbackBatch(bad); errs[0] == nil || untouched.Drills != -1 {
+		t.Errorf("rejected observation: err %v, round %+v", errs[0], untouched)
+	}
+}
+
+// TestFeedbackSteadyStateZeroAllocs asserts the zero-allocation invariant
+// survives the telemetry hooks: a steady-state feedback round (every
+// candidate drill skipped, amortized validation off) performs zero heap
+// allocations, with or without a recorder attached.
 func TestFeedbackSteadyStateZeroAllocs(t *testing.T) {
-	ds := datagen.Cross(0.04, 1)
-	est, err := Open(ds.Table, Options{Buckets: 100, Seed: 1, ValidateEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := workload.MustGenerate(ds.Domain, workload.Config{
-		VolumeFraction: 0.01, N: 64, Seed: 7,
-	}, ds.Table)
-	steady := func(r Rect) float64 { return est.work.Estimate(r) }
-	for _, q := range qs { // converge + warm scratch buffers
-		if err := est.FeedbackWith(q, steady); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := est.FeedbackWith(qs[i%len(qs)], steady); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state feedback with telemetry disabled allocates %g times per round, want 0", allocs)
+	for _, withRecorder := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recorder=%v", withRecorder), func(t *testing.T) {
+			ds := datagen.Cross(0.04, 1)
+			est, err := Open(ds.Table, Options{Buckets: 100, Seed: 1, ValidateEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if withRecorder {
+				est.SetRecorder(telemetry.New(telemetry.Options{}).Table("cross"))
+			}
+			qs := workload.MustGenerate(ds.Domain, workload.Config{
+				VolumeFraction: 0.01, N: 64, Seed: 7,
+			}, ds.Table)
+			steady := func(r Rect) float64 { return est.work.Estimate(r) }
+			for _, q := range qs { // converge + warm scratch buffers
+				if err := est.FeedbackWith(q, steady); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := est.FeedbackWith(qs[i%len(qs)], steady); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state feedback allocates %g times per round, want 0", allocs)
+			}
+		})
 	}
 }
 
