@@ -70,7 +70,7 @@ func run(args []string) error {
 	probeInterval := fs.Duration("probe-interval", cluster.DefaultProbeInterval, "readiness probe interval")
 	probeTimeout := fs.Duration("probe-timeout", cluster.DefaultProbeTimeout, "readiness probe timeout")
 	downAfter := fs.Int("down-after", cluster.DefaultDownAfter, "consecutive failed probes before a target is unready")
-	upAfter := fs.Int("up-after", cluster.DefaultUpAfter, "consecutive successful probes before a target is ready")
+	upAfter := fs.Int("up-after", cluster.DefaultUpAfter, "consecutive successful probes before a target that failed a probe is ready again (a target that never failed is ready on its first success)")
 	traceSample := fs.Float64("trace-sample", 0,
 		"probability of head-sampling a distributed trace per proxied request (0 disables tracing; error and slow traces are tail-retained regardless)")
 	traceSlow := fs.Duration("trace-slow", trace.DefaultSlowThreshold,

@@ -19,9 +19,10 @@ const (
 	// DefaultDownAfter marks a target unready after this many consecutive
 	// failed probes. >1 so a single dropped probe does not flap the target.
 	DefaultDownAfter = 2
-	// DefaultUpAfter marks a target ready after this many consecutive
-	// successful probes. >1 so a node that answers one probe mid-crash-loop
-	// does not immediately reabsorb traffic.
+	// DefaultUpAfter marks a target that has failed a probe ready again
+	// after this many consecutive successful probes. >1 so a node that
+	// answers one probe mid-crash-loop does not immediately reabsorb
+	// traffic. A target that has never failed needs one success.
 	DefaultUpAfter = 2
 )
 
@@ -40,7 +41,8 @@ type MonitorOptions struct {
 	Timeout time.Duration
 	// DownAfter / UpAfter are the hysteresis thresholds: consecutive failed
 	// probes before ready->unready, consecutive successes before
-	// unready->ready. Zero uses the defaults.
+	// unready->ready once the target has failed a probe. Zero uses the
+	// defaults.
 	DownAfter int
 	UpAfter   int
 	// Probe overrides the probe implementation (tests, chaos). Nil uses the
@@ -65,17 +67,21 @@ type TargetHealth struct {
 // protected by the owning Monitor's mutex.
 type targetState struct {
 	ready   bool
-	okRun   int // consecutive successful probes
-	failRun int // consecutive failed probes
+	okRun   int  // consecutive successful probes
+	failRun int  // consecutive failed probes
+	failed  bool // some probe failed since the monitor was built
 	lastErr error
 	lastAt  time.Time
 }
 
 // Monitor maintains the readiness view of a fixed target set by probing each
-// target on an interval and applying hysteresis. Targets start unready and
-// are absorbed after UpAfter successful probes; Start runs one synchronous
-// probe round first so a freshly started proxy sees live targets before it
-// serves. All methods are safe for concurrent use.
+// target on an interval and applying hysteresis. Targets start unready. A
+// target is absorbed on its first successful probe if no probe of it has
+// failed yet; once one has, it needs UpAfter consecutive successes, so a
+// crash-looping or rejoining node is not reabsorbed on one lucky answer.
+// Start runs one synchronous probe round first, so a freshly started proxy
+// sees live targets before it serves. All methods are safe for concurrent
+// use.
 type Monitor struct {
 	targets []string
 	opts    MonitorOptions
@@ -223,13 +229,14 @@ func (m *Monitor) ProbeOnce() {
 		if r.err == nil {
 			st.okRun++
 			st.failRun = 0
-			if !st.ready && st.okRun >= m.opts.UpAfter {
+			if !st.ready && (!st.failed || st.okRun >= m.opts.UpAfter) {
 				st.ready = true
 				changes = append(changes, change{r.target, true})
 			}
 		} else {
 			st.failRun++
 			st.okRun = 0
+			st.failed = true
 			if st.ready && st.failRun >= m.opts.DownAfter {
 				st.ready = false
 				changes = append(changes, change{r.target, false})

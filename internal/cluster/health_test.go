@@ -45,14 +45,14 @@ func TestMonitorHysteresis(t *testing.T) {
 		},
 	})
 
-	// Targets start unready; one good probe is not enough with UpAfter=2.
-	m.ProbeOnce()
+	// Targets start unready. One that has never failed a probe is absorbed
+	// on its first success: UpAfter applies only after a failure.
 	if m.Ready("a") || m.Ready("b") {
-		t.Fatal("target ready after a single successful probe despite UpAfter=2")
+		t.Fatal("target ready before any probe")
 	}
 	m.ProbeOnce()
 	if !m.Ready("a") || !m.Ready("b") {
-		t.Fatal("targets not ready after UpAfter successful probes")
+		t.Fatal("targets that never failed not ready after their first successful probe")
 	}
 	if m.ReadyCount() != 2 {
 		t.Fatalf("ReadyCount = %d, want 2", m.ReadyCount())
@@ -112,6 +112,26 @@ func TestMonitorHysteresis(t *testing.T) {
 	snap := m.Snapshot()
 	if len(snap) != 2 || snap[0].Target != "a" || !snap[0].Ready {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+}
+
+// A target whose first probe fails has lost the fast start: it needs
+// UpAfter consecutive successes like any recovering target.
+func TestMonitorFirstProbeFails(t *testing.T) {
+	probe := &fakeProbe{}
+	probe.set("a", fmt.Errorf("connection refused"))
+	m := NewMonitor([]string{"a"}, MonitorOptions{UpAfter: 3, Probe: probe.probe})
+	m.ProbeOnce()
+	probe.set("a", nil)
+	for i := 1; i < 3; i++ {
+		m.ProbeOnce()
+		if m.Ready("a") {
+			t.Fatalf("target that failed its first probe ready after %d successes despite UpAfter=3", i)
+		}
+	}
+	m.ProbeOnce()
+	if !m.Ready("a") {
+		t.Fatal("target not ready after UpAfter successes")
 	}
 }
 

@@ -1,67 +1,220 @@
 package mineclus
 
+// The FP-tree and the FP-growth search over it: the per-row oracle that
+// referenceRun and TestQuickMinerMatchesFPGrowth hold the bitset miner to.
+
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// bruteBestItemset enumerates every itemset over the alphabet to find the
-// mu-optimal one; the reference for bestItemset.
-func bruteBestItemset(transactions [][]int, minSup int, gain float64) ([]int, int, float64, bool) {
-	alphabet := map[int]bool{}
+// fpNode is one node of the FP-tree. Children are kept in a small slice
+// (dimension alphabets are tiny) rather than a map.
+type fpNode struct {
+	item     int
+	count    int
+	parent   *fpNode
+	children []*fpNode
+	next     *fpNode // header-list threading
+}
+
+func (n *fpNode) child(item int) *fpNode {
+	for _, c := range n.children {
+		if c.item == item {
+			return c
+		}
+	}
+	return nil
+}
+
+// fpTree is an FP-tree over dimension itemsets.
+type fpTree struct {
+	root    *fpNode
+	headers map[int]*fpNode // item -> head of node list
+	counts  map[int]int     // item -> total support in this tree
+	order   map[int]int     // item -> global insertion rank (desc frequency)
+}
+
+// weightedTx is a transaction that count points share: every point whose
+// dimension set equals items. Collapsing equal transactions leaves every item
+// support, and so every mined itemset, unchanged.
+type weightedTx struct {
+	items []int
+	count int
+}
+
+// newFPTree builds a tree from weighted transactions, keeping only items with
+// support >= minSup. Transactions are slices of item ids (dimensions); order
+// within a transaction is irrelevant.
+func newFPTree(transactions []weightedTx, minSup int) *fpTree {
+	counts := make(map[int]int)
 	for _, tx := range transactions {
-		for _, it := range tx {
-			alphabet[it] = true
+		for _, it := range tx.items {
+			counts[it] += tx.count
 		}
 	}
 	var items []int
-	for it := range alphabet {
+	for it, c := range counts {
+		if c >= minSup {
+			items = append(items, it)
+		}
+	}
+	// Descending frequency, ties by item id for determinism.
+	slices.SortFunc(items, func(a, b int) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	order := make(map[int]int, len(items))
+	for rank, it := range items {
+		order[it] = rank
+	}
+	t := &fpTree{
+		root:    &fpNode{item: -1},
+		headers: make(map[int]*fpNode),
+		counts:  make(map[int]int),
+		order:   order,
+	}
+	buf := make([]int, 0, 16)
+	for _, tx := range transactions {
+		buf = buf[:0]
+		for _, it := range tx.items {
+			if _, ok := order[it]; ok {
+				buf = append(buf, it)
+			}
+		}
+		slices.SortFunc(buf, func(a, b int) int { return cmp.Compare(order[a], order[b]) })
+		t.insert(buf, tx.count)
+	}
+	return t
+}
+
+// insert adds one (ordered, filtered) transaction with the given count.
+func (t *fpTree) insert(tx []int, count int) {
+	node := t.root
+	for _, it := range tx {
+		t.counts[it] += count
+		c := node.child(it)
+		if c == nil {
+			c = &fpNode{item: it, parent: node}
+			node.children = append(node.children, c)
+			c.next = t.headers[it]
+			t.headers[it] = c
+		}
+		c.count += count
+		node = c
+	}
+}
+
+// conditional builds the conditional FP-tree for item: the prefix paths of
+// every node carrying item, filtered by minSup.
+func (t *fpTree) conditional(item, minSup int) *fpTree {
+	// First pass: support of each item in the prefix paths.
+	counts := make(map[int]int)
+	for n := t.headers[item]; n != nil; n = n.next {
+		for p := n.parent; p != nil && p.item >= 0; p = p.parent {
+			counts[p.item] += n.count
+		}
+	}
+	cond := &fpTree{
+		root:    &fpNode{item: -1},
+		headers: make(map[int]*fpNode),
+		counts:  make(map[int]int),
+		order:   t.order,
+	}
+	for n := t.headers[item]; n != nil; n = n.next {
+		var path []int
+		for p := n.parent; p != nil && p.item >= 0; p = p.parent {
+			if counts[p.item] >= minSup {
+				path = append(path, p.item)
+			}
+		}
+		// path is leaf-to-root; reverse to root-to-leaf (already in global
+		// order because tree paths follow it).
+		for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+			path[i], path[j] = path[j], path[i]
+		}
+		cond.insert(path, n.count)
+	}
+	return cond
+}
+
+// itemsByRank returns the tree's frequent items ordered by ascending global
+// rank (most frequent first).
+func (t *fpTree) itemsByRank() []int {
+	items := make([]int, 0, len(t.counts))
+	for it := range t.counts {
 		items = append(items, it)
 	}
-	sort.Ints(items)
-	var (
-		bestItems []int
-		bestSup   int
-		bestScore = math.Inf(-1)
-		found     bool
-	)
-	for mask := 1; mask < 1<<len(items); mask++ {
-		var set []int
-		for i, it := range items {
-			if mask&(1<<i) != 0 {
-				set = append(set, it)
+	slices.SortFunc(items, func(a, b int) int { return cmp.Compare(t.order[a], t.order[b]) })
+	return items
+}
+
+// fpBestItemset searches the itemset lattice via FP-growth for the set
+// maximizing mu(support, size) = support * gain^size, subject to
+// support >= minSup and size >= 1. gain = 1/beta > 1 rewards extra
+// dimensions. Branch-and-bound: extending an itemset can only shrink its
+// support, so an upper bound for any extension of (X, s) inside a tree with
+// r remaining candidate items is s * gain^(|X| + r); branches below the
+// incumbent are pruned.
+//
+// Supports count transaction weights, so a multiset of transactions and its
+// distinct members with their multiplicities give the same answer. It
+// returns the best itemset (ascending item ids), its support, and its mu
+// score; found is false when no item meets minSup.
+func fpBestItemset(transactions []weightedTx, minSup int, gain float64) (items []int, support int, score float64, found bool) {
+	if minSup < 1 {
+		minSup = 1
+	}
+	t := newFPTree(transactions, minSup)
+	var best struct {
+		items   []int
+		support int
+		score   float64
+		ok      bool
+	}
+	var grow func(t *fpTree, suffix []int)
+	grow = func(t *fpTree, suffix []int) {
+		items := t.itemsByRank()
+		// Process least-frequent first, FP-growth style (iterate reversed).
+		for i := len(items) - 1; i >= 0; i-- {
+			it := items[i]
+			s := t.counts[it]
+			if s < minSup {
+				continue
 			}
-		}
-		sup := 0
-		for _, tx := range transactions {
-			has := map[int]bool{}
-			for _, it := range tx {
-				has[it] = true
+			cur := append(append([]int(nil), suffix...), it)
+			sc := float64(s) * pow(gain, len(cur))
+			if !best.ok || sc > best.score || (sc == best.score && len(cur) > len(best.items)) {
+				best.items = cur
+				best.support = s
+				best.score = sc
+				best.ok = true
 			}
-			all := true
-			for _, it := range set {
-				if !has[it] {
-					all = false
-					break
-				}
+			// Upper bound for any superset mined from the conditional tree:
+			// the i items ranked above `it` can still join.
+			bound := float64(s) * pow(gain, len(cur)+i)
+			if bound <= best.score {
+				continue
 			}
-			if all {
-				sup++
+			cond := t.conditional(it, minSup)
+			if len(cond.counts) > 0 {
+				grow(cond, cur)
 			}
-		}
-		if sup < minSup {
-			continue
-		}
-		score := float64(sup) * math.Pow(gain, float64(len(set)))
-		if score > bestScore || (score == bestScore && len(set) > len(bestItems)) {
-			bestItems, bestSup, bestScore, found = set, sup, score, true
 		}
 	}
-	return bestItems, bestSup, bestScore, found
+	grow(t, nil)
+	if !best.ok {
+		return nil, 0, 0, false
+	}
+	slices.Sort(best.items)
+	return best.items, best.support, best.score, true
 }
 
 // unit gives every transaction count 1: the multiset as the per-row builder
@@ -72,145 +225,6 @@ func unit(transactions [][]int) []weightedTx {
 		out[i] = weightedTx{items: tx, count: 1}
 	}
 	return out
-}
-
-func TestBestItemsetSimple(t *testing.T) {
-	// Items {0,1} appear together 5 times, {2} appears 3 times alone.
-	var tx [][]int
-	for i := 0; i < 5; i++ {
-		tx = append(tx, []int{0, 1})
-	}
-	for i := 0; i < 3; i++ {
-		tx = append(tx, []int{2})
-	}
-	items, sup, score, ok := bestItemset(unit(tx), 2, 4) // gain 4 per extra dim
-	if !ok {
-		t.Fatal("no itemset found")
-	}
-	if !reflect.DeepEqual(items, []int{0, 1}) {
-		t.Errorf("items = %v, want [0 1]", items)
-	}
-	if sup != 5 {
-		t.Errorf("support = %d, want 5", sup)
-	}
-	if want := 5.0 * 16; score != want {
-		t.Errorf("score = %g, want %g", score, want)
-	}
-}
-
-func TestBestItemsetMinSup(t *testing.T) {
-	tx := [][]int{{0}, {0}, {1}}
-	if _, _, _, ok := bestItemset(unit(tx), 3, 2); ok {
-		t.Error("itemset below minSup accepted")
-	}
-	items, sup, _, ok := bestItemset(unit(tx), 2, 2)
-	if !ok || sup != 2 || !reflect.DeepEqual(items, []int{0}) {
-		t.Errorf("items=%v sup=%d ok=%v, want [0] 2 true", items, sup, ok)
-	}
-}
-
-func TestBestItemsetPrefersDimensionsWithHighGain(t *testing.T) {
-	// 10 transactions with {0}, 6 with {1,2}. With low gain the single
-	// frequent item wins; with high gain the 2-dim set wins.
-	var tx [][]int
-	for i := 0; i < 10; i++ {
-		tx = append(tx, []int{0})
-	}
-	for i := 0; i < 6; i++ {
-		tx = append(tx, []int{1, 2})
-	}
-	items, _, _, _ := bestItemset(unit(tx), 2, 1.2) // 10*1.2 = 12 > 6*1.44 = 8.6
-	if !reflect.DeepEqual(items, []int{0}) {
-		t.Errorf("low gain: items = %v, want [0]", items)
-	}
-	items, _, _, _ = bestItemset(unit(tx), 2, 4) // 10*4 = 40 < 6*16 = 96
-	if !reflect.DeepEqual(items, []int{1, 2}) {
-		t.Errorf("high gain: items = %v, want [1 2]", items)
-	}
-}
-
-func TestBestItemsetMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		nItems := 2 + rng.Intn(6)
-		nTx := 5 + rng.Intn(30)
-		tx := make([][]int, nTx)
-		for i := range tx {
-			for it := 0; it < nItems; it++ {
-				if rng.Float64() < 0.4 {
-					tx[i] = append(tx[i], it)
-				}
-			}
-		}
-		minSup := 1 + rng.Intn(4)
-		gain := 1.1 + rng.Float64()*5
-		gi, gs, gsc, gok := bestItemset(unit(tx), minSup, gain)
-		bi, bs, bsc, bok := bruteBestItemset(tx, minSup, gain)
-		if gok != bok {
-			t.Fatalf("trial %d: found=%v brute=%v", trial, gok, bok)
-		}
-		if !gok {
-			continue
-		}
-		// Scores must match; the winning set may differ only on exact ties.
-		if math.Abs(gsc-bsc) > 1e-9*math.Max(gsc, bsc) {
-			t.Fatalf("trial %d: score %g (items %v sup %d) vs brute %g (items %v sup %d)",
-				trial, gsc, gi, gs, bsc, bi, bs)
-		}
-	}
-}
-
-func TestQuickBestItemsetSupportIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	f := func() bool {
-		nTx := 5 + rng.Intn(40)
-		tx := make([][]int, nTx)
-		for i := range tx {
-			for it := 0; it < 5; it++ {
-				if rng.Float64() < 0.5 {
-					tx[i] = append(tx[i], it)
-				}
-			}
-		}
-		items, sup, _, ok := bestItemset(unit(tx), 2, 3)
-		if !ok {
-			return true
-		}
-		// Recount the support of the winning itemset.
-		want := 0
-		for _, t := range tx {
-			has := map[int]bool{}
-			for _, it := range t {
-				has[it] = true
-			}
-			all := true
-			for _, it := range items {
-				if !has[it] {
-					all = false
-					break
-				}
-			}
-			if all {
-				want++
-			}
-		}
-		return sup == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPow(t *testing.T) {
-	for _, c := range []struct {
-		base float64
-		exp  int
-		want float64
-	}{{2, 0, 1}, {2, 1, 2}, {2, 10, 1024}, {1.5, 3, 3.375}, {10, 18, 1e18}} {
-		if got := pow(c.base, c.exp); math.Abs(got-c.want) > 1e-9*c.want {
-			t.Errorf("pow(%g,%d) = %g, want %g", c.base, c.exp, got, c.want)
-		}
-	}
 }
 
 // TestQuickWeightedMatchesExpanded: mining distinct transactions with their
@@ -242,8 +256,8 @@ func TestQuickWeightedMatchesExpanded(t *testing.T) {
 		rng.Shuffle(len(expanded), func(i, j int) { expanded[i], expanded[j] = expanded[j], expanded[i] })
 		minSup := 1 + rng.Intn(10)
 		gain := 1.1 + rng.Float64()*5
-		wi, ws, wsc, wok := bestItemset(weighted, minSup, gain)
-		ei, es, esc, eok := bestItemset(unit(expanded), minSup, gain)
+		wi, ws, wsc, wok := fpBestItemset(weighted, minSup, gain)
+		ei, es, esc, eok := fpBestItemset(unit(expanded), minSup, gain)
 		return wok == eok && reflect.DeepEqual(wi, ei) && ws == es && math.Float64bits(wsc) == math.Float64bits(esc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

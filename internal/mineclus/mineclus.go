@@ -3,10 +3,8 @@ package mineclus
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -127,8 +125,8 @@ func (c *Config) widthFor(d int) float64 {
 // descending importance (mu score) order.
 //
 // The algorithm iterates: sample medoids from the not-yet-clustered points;
-// for each medoid, mine the dimension set maximizing mu via FP-growth over
-// the points' dimension itemsets; keep the best cluster across medoids;
+// for each medoid, mine the dimension set maximizing mu over the points'
+// dimension itemsets (see miner); keep the best cluster across medoids;
 // remove its points and repeat until no cluster reaches alpha * n points.
 func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 	if err := cfg.validate(); err != nil {
@@ -190,17 +188,14 @@ func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 
 // buffers are the allocations every extraction round of one Run reuses.
 type buffers struct {
-	txCols   [][]float64  // the round's transaction subsample, column by column
-	builders []*txBuilder // one per trial worker
+	txCols [][]float64 // the round's transaction subsample, column by column
+	miners []miner     // one per trial worker
 }
 
 func newBuffers(dims, points, workers int) *buffers {
-	b := &buffers{txCols: make([][]float64, dims), builders: make([]*txBuilder, workers)}
+	b := &buffers{txCols: make([][]float64, dims), miners: make([]miner, workers)}
 	for d := range b.txCols {
 		b.txCols[d] = make([]float64, 0, points)
-	}
-	for w := range b.builders {
-		b.builders[w] = newTxBuilder(points, dims)
 	}
 	return b
 }
@@ -227,8 +222,8 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 			txMinSup = 2
 		}
 	}
-	// Gather the subsample column by column, so each trial's dimension masks
-	// come from sequential scans.
+	// Gather the subsample column by column, so each trial's covers come from
+	// sequential scans.
 	txCols := buf.txCols
 	for d, col := range cols {
 		txCols[d] = txCols[d][:len(txRows)]
@@ -239,8 +234,8 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 
 	// Draw every medoid up front (sequential, so runs stay deterministic for
 	// a given seed), then evaluate the trials in parallel: each trial builds
-	// its own transaction set and mines it independently. Ties are broken by
-	// trial index so the parallel result matches the sequential one.
+	// its own covers and mines them independently. Ties are broken by trial
+	// index so the parallel result matches the sequential one.
 	medoidRows := make([]int, cfg.MedoidSamples)
 	for t := range medoidRows {
 		medoidRows[t] = remaining[rng.Intn(len(remaining))]
@@ -254,7 +249,8 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 	results := make([]trialResult, cfg.MedoidSamples)
 	var wg sync.WaitGroup
 	trialCh := make(chan int)
-	for _, b := range buf.builders {
+	for w := range buf.miners {
+		m := &buf.miners[w]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -263,7 +259,8 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 				for d, col := range cols {
 					medoid[d] = col[medoidRows[trial]]
 				}
-				items, _, score, ok := bestItemset(b.build(txCols, medoid, &cfg), txMinSup, gain)
+				m.cover(txCols, medoid, &cfg)
+				items, _, score, ok := m.mine(dims, txMinSup, gain)
 				if !ok || len(items) < cfg.MinDims {
 					continue
 				}
@@ -337,93 +334,4 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 		Medoid: bestMedoid,
 		Score:  float64(len(rows)) * pow(gain, len(bestDims)),
 	}, true
-}
-
-// txBuilder turns one medoid trial's subsample into FP-tree input. A point's
-// transaction is its dimension set { d : |q_d - p_d| <= w_d }, kept as a
-// bitmask of `words` uint64s (bit d%64 of word d/64, so any dimensionality
-// fits). Points with equal masks are collapsed into one weighted
-// transaction, which leaves at most min(T, 2^d) distinct transactions for T
-// points. A builder is reused across the trials of one worker.
-type txBuilder struct {
-	words int
-	masks []uint64 // words per point
-	// slots is an open-addressing hash table over the distinct masks: slot
-	// value k+1 refers to txs[k], 0 is empty. used lists the filled slots so
-	// a reset touches only those.
-	slots []int32
-	used  []int
-	shift uint  // 64 - log2(len(slots)): hashes keep their top bits
-	first []int // offset in masks of each distinct mask's first point
-	txs   []weightedTx
-	items []int // backing array for the itemsets of txs
-}
-
-// newTxBuilder sizes a builder for rounds of up to points transactions.
-func newTxBuilder(points, dims int) *txBuilder {
-	words := (dims + 63) / 64
-	size := 1 << bits.Len(uint(2*points)) // load factor <= 1/2
-	return &txBuilder{
-		words: words,
-		masks: make([]uint64, 0, points*words),
-		slots: make([]int32, size),
-		shift: uint(64 - bits.TrailingZeros(uint(size))),
-	}
-}
-
-// build returns the distinct transactions of the points in txCols around
-// medoid, in order of first occurrence, with their multiplicities. The
-// result is valid until the next call.
-func (b *txBuilder) build(txCols [][]float64, medoid []float64, cfg *Config) []weightedTx {
-	b.masks = b.masks[:len(txCols[0])*b.words]
-	clear(b.masks)
-	for d, col := range txCols {
-		m, w := medoid[d], cfg.widthFor(d)
-		masks, bit := b.masks[d/64:], uint64(1)<<(d%64)
-		for i, v := range col {
-			var set uint64
-			if math.Abs(v-m) <= w {
-				set = bit
-			}
-			masks[i*b.words] |= set
-		}
-	}
-	for _, j := range b.used {
-		b.slots[j] = 0
-	}
-	b.used, b.first, b.txs = b.used[:0], b.first[:0], b.txs[:0]
-	for off := 0; off < len(b.masks); off += b.words {
-		mask := b.masks[off : off+b.words]
-		var h uint64
-		for _, x := range mask {
-			h = (h ^ x) * 0x9e3779b97f4a7c15
-		}
-		for j := int(h >> b.shift); ; j = (j + 1) & (len(b.slots) - 1) {
-			k := int(b.slots[j]) - 1
-			if k < 0 {
-				b.slots[j] = int32(len(b.txs) + 1)
-				b.used = append(b.used, j)
-				b.first = append(b.first, off)
-				b.txs = append(b.txs, weightedTx{count: 1})
-				break
-			}
-			if slices.Equal(b.masks[b.first[k]:b.first[k]+b.words], mask) {
-				b.txs[k].count++
-				break
-			}
-		}
-	}
-	// Expand each distinct mask into its ascending dimension list. The
-	// backing array is grown up front, so the slices handed out stay valid.
-	b.items = slices.Grow(b.items[:0], len(b.txs)*len(txCols))
-	for k, off := range b.first {
-		start := len(b.items)
-		for d := range txCols {
-			if b.masks[off+d/64]&(1<<(d%64)) != 0 {
-				b.items = append(b.items, d)
-			}
-		}
-		b.txs[k].items = b.items[start:]
-	}
-	return b.txs
 }

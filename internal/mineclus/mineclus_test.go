@@ -233,19 +233,37 @@ func TestRunSubsampledTransactions(t *testing.T) {
 	}
 }
 
-// BenchmarkRun times one MineClus run on the sky table sthist.Open
-// initializes from in the end-to-end benchmark: SkySim(0.02), 34,942 rows by
-// 7 dimensions, with Open's default per-dimension widths (6% of each extent).
+// BenchmarkRun times one MineClus run per table shape, with sthist.Open's
+// default per-dimension widths (6% of each extent). MineClus's cost depends
+// on the shape:
+//   - sky: the table sthist.Open initializes from in the end-to-end
+//     benchmark, SkySim(0.02), 34,942 rows by 7 dimensions;
+//   - sky0.1: SkySim(0.1), 174,709 rows, far more than MaxTransactions, so
+//     every round mines a subsample;
+//   - particle: ParticleSim(0.01), 50,000 rows by 18 dimensions;
+//   - cross5d: CrossN(5, 0.05), 675,000 rows.
 func BenchmarkRun(b *testing.B) {
-	tab := datagen.SkySim(0.02, 1).Table
-	cfg := DefaultConfig()
-	cfg.Seed = 1
-	cfg.Width, cfg.Widths = 0, openWidths(b, tab)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(tab, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		tab  func() *dataset.Table
+	}{
+		{"sky", func() *dataset.Table { return datagen.SkySim(0.02, 1).Table }},
+		{"sky0.1", func() *dataset.Table { return datagen.SkySim(0.1, 1).Table }},
+		{"particle", func() *dataset.Table { return datagen.ParticleSim(0.01, 1).Table }},
+		{"cross5d", func() *dataset.Table { return datagen.CrossN(5, 0.05, 1).Table }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tab := c.tab()
+			cfg := DefaultConfig()
+			cfg.Seed = 1
+			cfg.Width, cfg.Widths = 0, openWidths(b, tab)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(tab, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 // them one at a time with count 1. It draws from the RNG in the same order as
 // Run and runs the trials sequentially (Run breaks ties by trial index, so its
 // parallel trials give the same winner). It is the specification Run's
-// collapsed dimension masks must match bit for bit.
+// cover bitsets and depth-first search must match bit for bit.
 func referenceRun(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func referenceBestClusterAround(tab *dataset.Table, remaining []int, cfg Config,
 			}
 			transactions[i] = weightedTx{items: tx, count: 1}
 		}
-		items, _, score, ok := bestItemset(transactions, txMinSup, gain)
+		items, _, score, ok := fpBestItemset(transactions, txMinSup, gain)
 		if !ok || len(items) < cfg.MinDims {
 			continue
 		}
@@ -164,9 +164,9 @@ func openWidths(t testing.TB, tab *dataset.Table) []float64 {
 	return w
 }
 
-// wideTable is a table with more than 64 dimensions, so a dimension mask no
-// longer fits one machine word: three projected clusters, constrained on
-// dimension sets that straddle bit 64, plus uniform noise.
+// wideTable is a table with more than 64 dimensions: three projected
+// clusters, constrained on dimension sets that straddle dimension 64, plus
+// uniform noise.
 func wideTable(dims, perCluster, noise int, seed int64) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
 	tab := dataset.MustNew(dataset.GenericNames(dims)...)
@@ -195,9 +195,9 @@ func wideTable(dims, perCluster, noise int, seed int64) *dataset.Table {
 	return tab
 }
 
-// TestRunMatchesReference requires Run's collapsed dimension masks to give
-// exactly the clusters of the per-row transaction builder: same dimensions,
-// rows and medoid, and the same bits in every box coordinate and score.
+// TestRunMatchesReference requires Run's bitset miner to give exactly the
+// clusters of per-row transactions mined by FP-growth: same dimensions, rows
+// and medoid, and the same bits in every box coordinate and score.
 func TestRunMatchesReference(t *testing.T) {
 	type tc struct {
 		name string
