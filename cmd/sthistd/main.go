@@ -50,7 +50,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -351,9 +350,8 @@ func (d *daemon) warmTable(name string) {
 	log.Printf("sthistd: table %q: warm-started from %s (last seq %s)", name, d.cfg.warmFrom, resp.Header.Get("X-Sthist-Last-Seq"))
 }
 
-// openDurable opens the table's WAL directory, restores the latest
-// checkpoint (or re-seeds the histogram from the data when there is none),
-// replays the surviving log tail and registers the recovered estimator.
+// openDurable opens the table's WAL directory, rebuilds the estimator from
+// it with httpapi.RecoverTable and registers the result.
 func (d *daemon) openDurable(name string, tab *sthist.Table, opts sthist.Options, sync wal.SyncPolicy) error {
 	dir := filepath.Join(d.cfg.dataDir, name)
 	wopts := wal.Options{Sync: sync}
@@ -370,63 +368,23 @@ func (d *daemon) openDurable(name string, tab *sthist.Table, opts sthist.Options
 	if rc.Torn {
 		log.Printf("sthistd: table %q: torn record at log tail truncated (crash mid-write)", name)
 	}
-	if rc.Skipped > 0 {
-		log.Printf("sthistd: table %q: skipped %d corrupt log records", name, rc.Skipped)
-	}
-
-	// A usable snapshot makes the clustering pass redundant: the histogram
-	// is about to be replaced wholesale by LoadHistogram.
-	haveSnap := rc.Snapshot != nil && rc.SnapshotErr == nil
-	estOpts := opts
-	if haveSnap {
-		estOpts.SkipInitialization = true
-	}
-	est, err := sthist.Open(tab, estOpts)
+	est, rv, err := httpapi.RecoverTable(tab, opts, rc)
 	if err != nil {
 		_ = l.Close()
 		return fmt.Errorf("opening estimator for %q: %w", name, err)
 	}
-	if haveSnap {
-		if err := est.LoadHistogram(bytes.NewReader(rc.Snapshot)); err != nil {
-			// A checkpoint that fails validation is treated like a missing
-			// one: re-seed from the data, then replay.
-			log.Printf("sthistd: table %q: rejecting checkpoint snapshot (%v); re-seeding from data", name, err)
-			if est, err = sthist.Open(tab, opts); err != nil {
-				_ = l.Close()
-				return fmt.Errorf("re-opening estimator for %q: %w", name, err)
-			}
-		}
+	if rv.CheckpointErr != nil {
+		log.Printf("sthistd: table %q: rejecting checkpoint snapshot (%v); re-seeding from data", name, rv.CheckpointErr)
 	}
-	replayErrs, reseeds := 0, 0
-	for _, r := range rc.Records {
-		if r.Kind == wal.KindReseed {
-			// A journaled promotion: replace the histogram wholesale, exactly
-			// as AdoptHistogram did live. Later feedback records refine it.
-			if err := est.LoadHistogram(bytes.NewReader(r.Blob)); err != nil {
-				replayErrs++
-			} else {
-				reseeds++
-			}
-			continue
-		}
-		q, err := sthist.NewRect(r.Lo, r.Hi)
-		if err != nil {
-			replayErrs++
-			continue
-		}
-		if err := est.Feedback(q, r.Actual); err != nil {
-			replayErrs++
-		}
+	if rv.Reseeds > 0 {
+		log.Printf("sthistd: table %q: replayed %d re-seed promotion(s)", name, rv.Reseeds)
 	}
-	if reseeds > 0 {
-		log.Printf("sthistd: table %q: replayed %d re-seed promotion(s)", name, reseeds)
-	}
-	if replayErrs > 0 {
-		log.Printf("sthistd: table %q: %d of %d replayed records rejected", name, replayErrs, len(rc.Records))
+	if rv.Rejected > 0 {
+		log.Printf("sthistd: table %q: %d of %d replayed records rejected", name, rv.Rejected, len(rc.Records))
 	}
 	if len(rc.Records) > 0 || rc.Snapshot != nil {
 		log.Printf("sthistd: table %q: recovered checkpoint=%v, replayed %d records (last seq %d)",
-			name, haveSnap, len(rc.Records), l.LastSeq())
+			name, rv.Checkpoint, len(rc.Records), l.LastSeq())
 	}
 	if err := d.srv.RegisterDurable(name, est, l); err != nil {
 		_ = l.Close()

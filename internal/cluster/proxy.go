@@ -461,17 +461,23 @@ func relay(w http.ResponseWriter, u *upstream) {
 	_, _ = w.Write(u.body)
 }
 
+// writeError answers a proxy-originated error as sthistd does: a JSON
+// {"error": msg} body with Content-Type application/json.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg}) // client gone: nothing useful to do
+}
+
 // unavailable is the proxy-originated degradation response: every candidate
 // failed, tell the client when to come back rather than just failing.
 func unavailable(w http.ResponseWriter, err error) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", proxyRetryAfterSeconds)
-	w.WriteHeader(http.StatusServiceUnavailable)
 	msg := "no candidate target available"
 	if err != nil {
 		msg = err.Error()
 	}
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	writeError(w, http.StatusServiceUnavailable, msg)
 }
 
 // readTableBody reads a bounded JSON request body and extracts the table
@@ -479,14 +485,14 @@ func unavailable(w http.ResponseWriter, err error) {
 func readTableBody(w http.ResponseWriter, r *http.Request) (string, []byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, "reading body: "+err.Error()), http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return "", nil, false
 	}
 	var probe struct {
 		Table string `json:"table"`
 	}
 	if err := json.Unmarshal(body, &probe); err != nil || probe.Table == "" {
-		http.Error(w, `{"error":"body carries no table name"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "body carries no table name")
 		return "", nil, false
 	}
 	return probe.Table, body, true
@@ -494,7 +500,7 @@ func readTableBody(w http.ResponseWriter, r *http.Request) (string, []byte, bool
 
 func (p *Proxy) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	p.requests["/estimate"].Inc()
@@ -522,7 +528,7 @@ func (p *Proxy) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	p.requests["/feedback"].Inc()
@@ -546,13 +552,13 @@ func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	p.requests["/stats"].Inc()
 	table := r.URL.Query().Get("table")
 	if table == "" {
-		http.Error(w, `{"error":"missing table parameter"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "missing table parameter")
 		return
 	}
 	cands := p.candidates(table)
@@ -569,7 +575,7 @@ func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 // sharded across the cluster, so no single node knows them all.
 func (p *Proxy) handleTables(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	p.requests["/tables"].Inc()
@@ -610,13 +616,13 @@ func (p *Proxy) handleTables(w http.ResponseWriter, r *http.Request) {
 
 func (p *Proxy) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	p.requests["/snapshot"].Inc()
 	table := r.URL.Query().Get("table")
 	if table == "" {
-		http.Error(w, `{"error":"missing table parameter"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "missing table parameter")
 		return
 	}
 	// Snapshots ship from the table's authoritative owner: the first ready
@@ -638,7 +644,7 @@ func (p *Proxy) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (p *Proxy) handleLivez(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -649,7 +655,7 @@ func (p *Proxy) handleLivez(w http.ResponseWriter, r *http.Request) {
 // target absorbed as ready.
 func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -667,7 +673,7 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // operators and the smoke test.
 func (p *Proxy) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

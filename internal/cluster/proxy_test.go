@@ -135,6 +135,22 @@ func getVia(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorde
 	return w
 }
 
+// assertJSONError requires w to answer status want with a JSON
+// {"error": string} body and Content-Type application/json, as sthistd does.
+func assertJSONError(t *testing.T, what string, w *httptest.ResponseRecorder, want int) {
+	t.Helper()
+	if w.Code != want {
+		t.Errorf("%s = %d, want %d", what, w.Code, want)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s: Content-Type %q, want application/json", what, ct)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || len(body) != 1 || body["error"] == "" {
+		t.Errorf("%s: body %q is not {\"error\": string} (%v)", what, w.Body.String(), err)
+	}
+}
+
 func metricsText(t *testing.T, p *Proxy) string {
 	t.Helper()
 	w := getVia(t, p.Handler(), "/metrics")
@@ -332,19 +348,13 @@ func TestProxyFeedbackBackpressurePassthrough(t *testing.T) {
 	}
 }
 
-// Unroutable requests fail fast at the proxy.
+// Unroutable requests fail fast at the proxy, with sthistd's JSON errors.
 func TestProxyRejectsTablelessRequests(t *testing.T) {
 	p, _, _ := newCluster(t, 2, nil)
 	h := p.Handler()
-	if w := postVia(t, h, "/estimate", []byte(`{"lo":[1],"hi":[2]}`)); w.Code != http.StatusBadRequest {
-		t.Fatalf("tableless estimate = %d, want 400", w.Code)
-	}
-	if w := getVia(t, h, "/stats"); w.Code != http.StatusBadRequest {
-		t.Fatalf("tableless stats = %d, want 400", w.Code)
-	}
-	if w := getVia(t, h, "/snapshot"); w.Code != http.StatusBadRequest {
-		t.Fatalf("tableless snapshot = %d, want 400", w.Code)
-	}
+	assertJSONError(t, "tableless estimate", postVia(t, h, "/estimate", []byte(`{"lo":[1],"hi":[2]}`)), http.StatusBadRequest)
+	assertJSONError(t, "tableless stats", getVia(t, h, "/stats"), http.StatusBadRequest)
+	assertJSONError(t, "tableless snapshot", getVia(t, h, "/snapshot"), http.StatusBadRequest)
 }
 
 // GET /snapshot through the proxy ships a restorable archive and observes

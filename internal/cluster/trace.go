@@ -71,18 +71,18 @@ func (p *Proxy) traced(route string, next http.HandlerFunc) http.HandlerFunc {
 // (?n= bounds it). Malformed parameters are 400.
 func (p *Proxy) handleTraceSpans(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	tr := p.tracer
 	if tr == nil {
-		http.Error(w, `{"error":"tracing disabled (start with -trace-sample)"}`, http.StatusNotFound)
+		writeError(w, http.StatusNotFound, "tracing disabled (start with -trace-sample)")
 		return
 	}
 	var spans []trace.SpanData
 	if id := r.URL.Query().Get("trace"); id != "" {
 		if !trace.ValidTraceIDString(id) {
-			http.Error(w, fmt.Sprintf(`{"error":"bad trace %q (want 32 lowercase hex digits)"}`, id), http.StatusBadRequest)
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad trace %q (want 32 lowercase hex digits)", id))
 			return
 		}
 		groups := [][]trace.SpanData{tr.Spans(id)}
@@ -107,7 +107,7 @@ func (p *Proxy) handleTraceSpans(w http.ResponseWriter, r *http.Request) {
 		if sn := r.URL.Query().Get("n"); sn != "" {
 			v, err := strconv.Atoi(sn)
 			if err != nil || v < 0 {
-				http.Error(w, fmt.Sprintf(`{"error":"bad n %q"}`, sn), http.StatusBadRequest)
+				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad n %q", sn))
 				return
 			}
 			n = v
@@ -138,7 +138,7 @@ func (p *Proxy) handleTraceSpans(w http.ResponseWriter, r *http.Request) {
 // per-route latency buckets that currently carry a trace-ID exemplar.
 func (p *Proxy) handleTraceExemplars(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	routes := make(map[string][]telemetry.BucketExemplar, len(p.durs))

@@ -201,7 +201,7 @@ func TestProxyRetryTraceHasDeadAndLiveAttempts(t *testing.T) {
 }
 
 // Malformed /debug/trace/spans parameters are 400; without a tracer the
-// endpoint is 404.
+// endpoint is 404. Both answer JSON errors.
 func TestProxyTraceSpansValidation(t *testing.T) {
 	p, _, _ := newTracedCluster(t, 2)
 	h := p.Handler()
@@ -213,7 +213,10 @@ func TestProxyTraceSpansValidation(t *testing.T) {
 		"/debug/trace/spans?n=-2":                                   http.StatusBadRequest,
 		"/debug/trace/spans?n=x":                                    http.StatusBadRequest,
 	} {
-		if w := getVia(t, h, path); w.Code != want {
+		w := getVia(t, h, path)
+		if want >= 400 {
+			assertJSONError(t, "GET "+path, w, want)
+		} else if w.Code != want {
 			t.Errorf("GET %s = %d, want %d", path, w.Code, want)
 		}
 	}
@@ -222,9 +225,7 @@ func TestProxyTraceSpansValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := getVia(t, bare.Handler(), "/debug/trace/spans"); w.Code != http.StatusNotFound {
-		t.Errorf("untraced proxy spans endpoint = %d, want 404", w.Code)
-	}
+	assertJSONError(t, "untraced proxy spans endpoint", getVia(t, bare.Handler(), "/debug/trace/spans"), http.StatusNotFound)
 	if !strings.Contains(metricsText(t, p), "sthist_proxy_request_duration_seconds") {
 		t.Error("metrics lack sthist_proxy_request_duration_seconds")
 	}

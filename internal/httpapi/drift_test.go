@@ -107,9 +107,12 @@ func fastDriftConfig() drift.Config {
 // TestDriftPromotion drives the full loop in the promote direction: a
 // distribution shift degrades the rolling NAE, the detector fires, the
 // background re-seeder clusters the feedback reservoir, the candidate wins
-// its probation, and the swap is journaled to the WAL as a reseed record.
+// its probation, and the swap is journaled to the WAL as a reseed record
+// that recovery replays into the live table's exact state.
 func TestDriftPromotion(t *testing.T) {
-	est, err := sthist.Open(uniformTable(t, 1), sthist.Options{Buckets: 30, Seed: 2})
+	tab := uniformTable(t, 1)
+	opts := sthist.Options{Buckets: 30, Seed: 2}
+	est, err := sthist.Open(tab, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +148,13 @@ func TestDriftPromotion(t *testing.T) {
 		t.Fatalf("state after promotion = %q, want cooldown", ds.State)
 	}
 
-	// The swap must be journaled: exactly one reseed record, with a blob a
-	// fresh estimator can load.
+	// The swap must be journaled as exactly one reseed record, and
+	// recovering the whole log must rebuild the live table bit for bit.
 	s.DrainFeedback()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rc, err := wal.Open(dir, wal.Options{})
+	recovered, rc, rv, err := recoverLog(dir, tab, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +162,12 @@ func TestDriftPromotion(t *testing.T) {
 	for _, r := range rc.Records {
 		if r.Kind == wal.KindReseed {
 			reseeds++
-			fresh, err := sthist.Open(uniformTable(t, 1), sthist.Options{Buckets: 30, Seed: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.LoadHistogram(bytes.NewReader(r.Blob)); err != nil {
-				t.Fatalf("journaled blob does not load: %v", err)
-			}
 		}
 	}
-	if reseeds != 1 {
-		t.Fatalf("found %d reseed records, want 1", reseeds)
+	if reseeds != 1 || rv.Reseeds != 1 {
+		t.Fatalf("found %d reseed records (%d replayed), want 1", reseeds, rv.Reseeds)
 	}
+	assertSameEstimates(t, recovered, est)
 
 	// And the adaptation must have actually helped: the promoted estimator
 	// knows the mass sits in the hot corner.
@@ -334,8 +331,9 @@ func TestEnableDriftValidation(t *testing.T) {
 // bit-identical to the synchronous reference at that prefix length.
 func TestCrashAcrossReseedSwapRecoversBitIdentical(t *testing.T) {
 	tab := uniformTable(t, 17)
+	opts := sthist.Options{Buckets: 25, Seed: 6}
 	open := func() *sthist.Estimator {
-		est, err := sthist.Open(tab, sthist.Options{Buckets: 25, Seed: 6})
+		est, err := sthist.Open(tab, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,10 +453,10 @@ func TestCrashAcrossReseedSwapRecoversBitIdentical(t *testing.T) {
 		s.DrainFeedback()
 		_ = l.Close()
 
-		// "Reboot": recover the WAL and replay like cmd/sthistd does.
-		l2, rc2, err := wal.Open(dir, wal.Options{})
+		// "Reboot": recover the table the way cmd/sthistd does.
+		recovered, rc2, rv, err := recoverLog(dir, tab, opts)
 		if err != nil {
-			t.Fatalf("crash %d: reopen: %v", crash, err)
+			t.Fatalf("crash %d: %v", crash, err)
 		}
 		n := len(rc2.Records)
 		if n > total {
@@ -470,35 +468,25 @@ func TestCrashAcrossReseedSwapRecoversBitIdentical(t *testing.T) {
 		if crash == total+2 && n != total {
 			t.Fatalf("crash-free control recovered %d records, want %d", n, total)
 		}
-		recovered := open()
+		reseeds := 0
 		for i, r := range rc2.Records {
 			if r.Seq != uint64(i+1) {
 				t.Fatalf("crash %d: record %d has seq %d", crash, i, r.Seq)
 			}
+			if (r.Kind == wal.KindReseed) != steps[i].reseed {
+				t.Fatalf("crash %d: record %d is a %v, step %d is not", crash, i, r.Kind, i)
+			}
 			if r.Kind == wal.KindReseed {
-				if !steps[i].reseed {
-					t.Fatalf("crash %d: record %d is a reseed, step %d is feedback", crash, i, i)
-				}
-				if err := recovered.LoadHistogram(bytes.NewReader(r.Blob)); err != nil {
-					t.Fatalf("crash %d: loading reseed record %d: %v", crash, i, err)
-				}
-				if n > i {
-					sawReseedSurvive = true
-				}
-				continue
+				reseeds++
+				sawReseedSurvive = true
 			}
-			q, err := sthist.NewRect(r.Lo, r.Hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := recovered.Feedback(q, r.Actual); err != nil {
-				t.Fatalf("crash %d: replaying record %d: %v", crash, i, err)
-			}
+		}
+		if rv.Reseeds != reseeds {
+			t.Fatalf("crash %d: RecoverTable replayed %d reseeds, the log holds %d", crash, rv.Reseeds, reseeds)
 		}
 		if got := snap(recovered); !bytes.Equal(got, ref[n]) {
 			t.Errorf("crash %d: recovered histogram differs from the synchronous reference after %d steps", crash, n)
 		}
-		_ = l2.Close()
 	}
 	if !sawPartial {
 		t.Error("sweep never produced a partial prefix")

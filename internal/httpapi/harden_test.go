@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -206,7 +205,7 @@ func TestDegradationVisibleInStats(t *testing.T) {
 
 // TestDurableRegistrationAndCheckpoint wires a real WAL behind a table and
 // exercises the append -> checkpoint -> restart -> recover loop through the
-// HTTP surface.
+// HTTP surface; the recovered table must answer exactly like the live one.
 func TestDurableRegistrationAndCheckpoint(t *testing.T) {
 	tab, err := sthist.NewTable("x", "y")
 	if err != nil {
@@ -216,8 +215,9 @@ func TestDurableRegistrationAndCheckpoint(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		tab.MustAppend([]float64{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
+	opts := sthist.Options{Buckets: 25, Seed: 6}
 	open := func() *sthist.Estimator {
-		est, err := sthist.Open(tab, sthist.Options{Buckets: 25, Seed: 6})
+		est, err := sthist.Open(tab, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,8 @@ func TestDurableRegistrationAndCheckpoint(t *testing.T) {
 		t.Fatalf("fresh dir recovered %+v", rc)
 	}
 	s := NewServer()
-	if err := s.RegisterDurable("orders", open(), l); err != nil {
+	live := open()
+	if err := s.RegisterDurable("orders", live, l); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RegisterDurable("bad", open(), nil); err == nil {
@@ -309,13 +310,12 @@ func TestDurableRegistrationAndCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rc2, err := wal.Open(dir, wal.Options{})
+	recovered, rc2, rv, err := recoverLog(dir, tab, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	if rc2.Snapshot == nil {
-		t.Fatal("restart lost the checkpoint snapshot")
+	if rc2.Snapshot == nil || !rv.Checkpoint {
+		t.Fatalf("restart lost the checkpoint snapshot: %+v", rv)
 	}
 	if len(rc2.Records) != 1 || rc2.Records[0].Seq != 6 {
 		t.Fatalf("restart tail = %d records (first seq %d), want 1 record seq 6",
@@ -326,8 +326,5 @@ func TestDurableRegistrationAndCheckpoint(t *testing.T) {
 				return 0
 			}())
 	}
-	recovered := open()
-	if err := recovered.LoadHistogram(bytes.NewReader(rc2.Snapshot)); err != nil {
-		t.Fatalf("loading recovered snapshot: %v", err)
-	}
+	assertSameEstimates(t, recovered, live)
 }

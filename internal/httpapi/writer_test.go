@@ -259,13 +259,14 @@ func TestDrainFeedbackCommitsQueuedTail(t *testing.T) {
 // TestCrashAtBatchBoundaryRecoversBitIdentical drives one workload through
 // (a) a plain estimator fed one observation at a time and (b) the server's
 // group-commit pipeline with the WAL killed at every append boundary by an
-// injected write fault. Whatever prefix survives the crash, replaying it
-// into a fresh estimator (the sthistd startup path) must yield a histogram
-// bit-identical to the synchronous reference at that prefix length.
+// injected write fault. Whatever prefix survives the crash, RecoverTable
+// (the sthistd startup path) must rebuild a histogram bit-identical to the
+// synchronous reference at that prefix length.
 func TestCrashAtBatchBoundaryRecoversBitIdentical(t *testing.T) {
 	tab := uniformTable(t, 17)
+	opts := sthist.Options{Buckets: 25, Seed: 6}
 	open := func() *sthist.Estimator {
-		est, err := sthist.Open(tab, sthist.Options{Buckets: 25, Seed: 6})
+		est, err := sthist.Open(tab, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,10 +344,10 @@ func TestCrashAtBatchBoundaryRecoversBitIdentical(t *testing.T) {
 		s.DrainFeedback()
 		_ = l.Close()
 
-		// "Reboot": recover the WAL and replay like cmd/sthistd does.
-		l2, rc2, err := wal.Open(dir, wal.Options{})
+		// "Reboot": recover the table the way cmd/sthistd does.
+		recovered, rc2, _, err := recoverLog(dir, tab, opts)
 		if err != nil {
-			t.Fatalf("crash %d: reopen: %v", crash, err)
+			t.Fatalf("crash %d: %v", crash, err)
 		}
 		n := len(rc2.Records)
 		if n > total {
@@ -361,23 +362,14 @@ func TestCrashAtBatchBoundaryRecoversBitIdentical(t *testing.T) {
 		if n > 0 && n < total {
 			sawPartial = true
 		}
-		recovered := open()
 		for i, r := range rc2.Records {
 			if r.Seq != uint64(i+1) {
 				t.Fatalf("crash %d: record %d has seq %d", crash, i, r.Seq)
-			}
-			q, err := sthist.NewRect(r.Lo, r.Hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := recovered.Feedback(q, r.Actual); err != nil {
-				t.Fatalf("crash %d: replaying record %d: %v", crash, i, err)
 			}
 		}
 		if got := snap(recovered); !bytes.Equal(got, ref[n]) {
 			t.Errorf("crash %d: recovered histogram differs from the synchronous reference after %d observations", crash, n)
 		}
-		_ = l2.Close()
 	}
 	if !sawPartial {
 		t.Error("sweep never produced a partial prefix; batch boundaries were not exercised")

@@ -16,42 +16,22 @@ import (
 	"sthist/internal/geom"
 )
 
-// Counter answers exact range-count queries. Both KDTree and ScanCounter
-// implement it; the STHoles trainer only depends on this interface.
-type Counter interface {
-	// Count returns the exact number of tuples inside r (boundaries
-	// inclusive).
-	Count(r geom.Rect) int
-	// Total returns the number of tuples indexed.
-	Total() int
-	// Bounds returns the bounding rectangle of the indexed tuples.
-	Bounds() geom.Rect
-}
-
-// ScanCounter is the trivial Counter that scans the table on every query.
+// ScanCounter answers range counts by scanning the table on every query.
 // It is the correctness reference for KDTree and fine for small tables.
 type ScanCounter struct {
-	tab    *dataset.Table
-	bounds geom.Rect
+	tab *dataset.Table
 }
 
 // NewScanCounter wraps a non-empty table.
 func NewScanCounter(tab *dataset.Table) (*ScanCounter, error) {
-	b, err := tab.Bounds()
-	if err != nil {
+	if _, err := tab.Bounds(); err != nil {
 		return nil, err
 	}
-	return &ScanCounter{tab: tab, bounds: b}, nil
+	return &ScanCounter{tab: tab}, nil
 }
 
-// Count implements Counter by scanning.
+// Count returns the number of rows inside r (boundaries inclusive).
 func (s *ScanCounter) Count(r geom.Rect) int { return s.tab.CountIn(r) }
-
-// Total implements Counter.
-func (s *ScanCounter) Total() int { return s.tab.Len() }
-
-// Bounds implements Counter.
-func (s *ScanCounter) Bounds() geom.Rect { return s.bounds }
 
 // KDTree is a static k-d tree over the rows of a table, with per-node
 // subtree counts and bounding boxes for fast orthogonal range counting.
@@ -170,7 +150,8 @@ func nthElement(pts []geom.Point, k, axis int) {
 	}
 }
 
-// Count implements Counter.
+// Count returns the exact number of indexed points inside r (boundaries
+// inclusive); 0 when r's dimensionality differs from the tree's.
 func (t *KDTree) Count(r geom.Rect) int {
 	if r.Dims() != t.dims {
 		return 0
@@ -198,10 +179,10 @@ func (t *KDTree) count(id int, r geom.Rect) int {
 	return t.count(n.left, r) + t.count(n.right, r)
 }
 
-// Total implements Counter.
+// Total returns the number of indexed points.
 func (t *KDTree) Total() int { return len(t.points) }
 
-// Bounds implements Counter.
+// Bounds returns the bounding box of the indexed points.
 func (t *KDTree) Bounds() geom.Rect { return t.bounds }
 
 // Collect returns the indexed points inside r. Used by the clustering

@@ -11,8 +11,8 @@ import (
 	"sthist/internal/index"
 )
 
-// counterFunc adapts an index.Counter to CountFunc.
-func counterFunc(c index.Counter) CountFunc {
+// counterFunc adapts a k-d tree's exact counts to CountFunc.
+func counterFunc(c *index.KDTree) CountFunc {
 	return func(r geom.Rect) float64 { return float64(c.Count(r)) }
 }
 

@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"sthist"
 	"sthist/internal/datagen"
+	"sthist/internal/httpapi"
 	"sthist/internal/wal"
 	"sthist/internal/workload"
 )
@@ -35,13 +37,36 @@ func crashTable(t *testing.T) *sthist.Table {
 	return tab
 }
 
-func crashOpen(t *testing.T, tab *sthist.Table) *sthist.Estimator {
+// crashOptions are the estimator options of crashTable's scenarios.
+var crashOptions = sthist.Options{Buckets: 40, Seed: 3}
+
+func openEstimator(t *testing.T, tab *sthist.Table, opts sthist.Options) *sthist.Estimator {
 	t.Helper()
-	est, err := sthist.Open(tab, sthist.Options{Buckets: 40, Seed: 3})
+	est, err := sthist.Open(tab, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return est
+}
+
+// recoverDir reopens a crashed log directory and rebuilds its estimator the
+// way sthistd does. Every tail record must replay.
+func recoverDir(dir string, tab *sthist.Table, opts sthist.Options) (*sthist.Estimator, *wal.Recovery, httpapi.Recovered, error) {
+	l, rc, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		return nil, nil, httpapi.Recovered{}, fmt.Errorf("recovery open: %w", err)
+	}
+	if err := l.Close(); err != nil {
+		return nil, nil, httpapi.Recovered{}, err
+	}
+	est, rv, err := httpapi.RecoverTable(tab, opts, rc)
+	if err != nil {
+		return nil, nil, rv, fmt.Errorf("recovering estimator: %w", err)
+	}
+	if rv.CheckpointErr != nil || rv.Rejected != 0 || rv.Replayed != len(rc.Records) {
+		return nil, nil, rv, fmt.Errorf("recovery %+v over %d tail records", rv, len(rc.Records))
+	}
+	return est, rc, rv, nil
 }
 
 // probeQueries returns the evaluation workload used to compare estimators.
@@ -68,11 +93,13 @@ type crashFeedback struct {
 	actual float64
 }
 
-// crashScenario is one input of TestCrashRecoveryBitIdentical: how to open
-// the served estimator, its feedback stream, the probes that compare
-// estimators, where the checkpoint falls and the extra random crash cuts.
+// crashScenario is one input of TestCrashRecoveryBitIdentical: the served
+// table and its estimator options, its feedback stream, the probes that
+// compare estimators, where the checkpoint falls and the extra random crash
+// cuts.
 type crashScenario struct {
-	open         func(t *testing.T) *sthist.Estimator
+	tab          *sthist.Table
+	opts         sthist.Options
 	workload     []crashFeedback
 	probes       []sthist.Rect
 	checkpointAt int
@@ -83,14 +110,13 @@ type crashScenario struct {
 // observations.
 func clustersScenario(t *testing.T) crashScenario {
 	tab := crashTable(t)
-	open := func(t *testing.T) *sthist.Estimator { return crashOpen(t, tab) }
 	rng := rand.New(rand.NewSource(17))
-	ref := open(t)
+	ref := openEstimator(t, tab, crashOptions)
 	var fbs []crashFeedback
 	for _, q := range probeQueries(rng, 120) {
 		fbs = append(fbs, crashFeedback{q, ref.TrueCount(q)})
 	}
-	return crashScenario{open: open, workload: fbs, probes: probeQueries(rng, 50), checkpointAt: 40, randomCuts: 10}
+	return crashScenario{tab: tab, opts: crashOptions, workload: fbs, probes: probeQueries(rng, 50), checkpointAt: 40, randomCuts: 10}
 }
 
 // crossScenario is the feedback stream of the end-to-end benchmark's ingest
@@ -101,15 +127,8 @@ func clustersScenario(t *testing.T) crashScenario {
 // the 500 probes diverged within the next 100 observations.
 func crossScenario(t *testing.T) crashScenario {
 	ds := datagen.Cross(0.1, 1)
-	open := func(t *testing.T) *sthist.Estimator {
-		t.Helper()
-		est, err := sthist.Open(ds.Table, sthist.Options{Buckets: 100, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return est
-	}
-	ref := open(t)
+	opts := sthist.Options{Buckets: 100, Seed: 1}
+	ref := openEstimator(t, ds.Table, opts)
 	gen := func(n int, seed int64) []sthist.Rect {
 		qs, err := workload.Generate(ref.Domain(), workload.Config{
 			VolumeFraction: 0.01, Centers: workload.DataCenters, N: n, Seed: seed,
@@ -123,17 +142,18 @@ func crossScenario(t *testing.T) crashScenario {
 	for _, q := range gen(500, 2) {
 		fbs = append(fbs, crashFeedback{q, ref.TrueCount(q)})
 	}
-	return crashScenario{open: open, workload: fbs, probes: gen(500, 3), checkpointAt: 400}
+	return crashScenario{tab: ds.Table, opts: opts, workload: fbs, probes: gen(500, 3), checkpointAt: 400}
 }
 
 // TestCrashRecoveryBitIdentical is the headline durability test: a serving
 // estimator WAL-logs every feedback and checkpoints part-way through; the
 // "crash" truncates the live segment at an arbitrary byte offset (including
-// mid-record); recovery restores the checkpoint snapshot and replays the
-// surviving tail. The recovered estimator must return bit-identical
-// estimates to an uninterrupted estimator that applied exactly the surviving
-// feedback prefix — proving that snapshot + replay loses nothing and alters
-// nothing beyond the records the crash destroyed.
+// mid-record); recovery (httpapi.RecoverTable, sthistd's startup path)
+// restores the checkpoint snapshot and replays the surviving tail. The
+// recovered estimator must return bit-identical estimates to an
+// uninterrupted estimator that applied exactly the surviving feedback
+// prefix — proving that snapshot + replay loses nothing and alters nothing
+// beyond the records the crash destroyed.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	t.Run("clusters", func(t *testing.T) { checkCrashRecovery(t, clustersScenario(t)) })
 	t.Run("cross", func(t *testing.T) { checkCrashRecovery(t, crossScenario(t)) })
@@ -151,7 +171,7 @@ func checkCrashRecovery(t *testing.T, sc crashScenario) {
 	if rc.Snapshot != nil || len(rc.Records) != 0 {
 		t.Fatalf("fresh dir recovered %+v", rc)
 	}
-	served := sc.open(t)
+	served := openEstimator(t, sc.tab, sc.opts)
 	for i, f := range sc.workload {
 		if _, err := l.Append(wal.Record{Lo: f.q.Lo, Hi: f.q.Hi, Actual: f.actual}); err != nil {
 			t.Fatal(err)
@@ -208,27 +228,13 @@ func checkCrashRecovery(t *testing.T, sc crashScenario) {
 		}
 
 		// Recover: snapshot + tail replay, the sthistd startup path.
-		l2, rc2, err := wal.Open(crashDir, wal.Options{})
+		recovered, rc2, rv, err := recoverDir(crashDir, sc.tab, sc.opts)
 		if err != nil {
-			t.Fatalf("cut=%d: recovery open: %v", cut, err)
+			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		if rc2.Snapshot == nil {
-			t.Fatalf("cut=%d: snapshot lost", cut)
+		if rc2.Snapshot == nil || !rv.Checkpoint {
+			t.Fatalf("cut=%d: snapshot lost (recovery %+v)", cut, rv)
 		}
-		recovered := sc.open(t)
-		if err := recovered.LoadHistogram(bytes.NewReader(rc2.Snapshot)); err != nil {
-			t.Fatalf("cut=%d: loading snapshot: %v", cut, err)
-		}
-		for _, r := range rc2.Records {
-			q, err := sthist.NewRect(r.Lo, r.Hi)
-			if err != nil {
-				t.Fatalf("cut=%d: bad replay rect: %v", cut, err)
-			}
-			if err := recovered.Feedback(q, r.Actual); err != nil {
-				t.Fatalf("cut=%d: replay feedback: %v", cut, err)
-			}
-		}
-		l2.Close()
 
 		// The uninterrupted reference: a fresh estimator that applies
 		// exactly the feedback prefix that survived the crash.
@@ -236,7 +242,7 @@ func checkCrashRecovery(t *testing.T, sc crashScenario) {
 		if survived > len(sc.workload) {
 			t.Fatalf("cut=%d: %d records survived a %d-feedback run", cut, survived, len(sc.workload))
 		}
-		uninterrupted := sc.open(t)
+		uninterrupted := openEstimator(t, sc.tab, sc.opts)
 		for _, f := range sc.workload[:survived] {
 			if err := uninterrupted.Feedback(f.q, f.actual); err != nil {
 				t.Fatal(err)
@@ -260,7 +266,7 @@ func checkCrashRecovery(t *testing.T, sc crashScenario) {
 func TestRecoveryWithoutCheckpoint(t *testing.T) {
 	tab := crashTable(t)
 	rng := rand.New(rand.NewSource(23))
-	served := crashOpen(t, tab)
+	served := openEstimator(t, tab, crashOptions)
 
 	dir := filepath.Join(t.TempDir(), "t")
 	l, _, err := wal.Open(dir, wal.Options{})
@@ -279,23 +285,12 @@ func TestRecoveryWithoutCheckpoint(t *testing.T) {
 	}
 	l.Close()
 
-	l2, rc, err := wal.Open(dir, wal.Options{})
+	recovered, rc, rv, err := recoverDir(dir, tab, crashOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	if rc.Snapshot != nil || len(rc.Records) != 30 {
-		t.Fatalf("recovery = snapshot %v, %d records", rc.Snapshot != nil, len(rc.Records))
-	}
-	recovered := crashOpen(t, tab)
-	for _, r := range rc.Records {
-		q, err := sthist.NewRect(r.Lo, r.Hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := recovered.Feedback(q, r.Actual); err != nil {
-			t.Fatal(err)
-		}
+	if rc.Snapshot != nil || rv.Checkpoint || len(rc.Records) != 30 {
+		t.Fatalf("recovery = snapshot %v, %d records (%+v)", rc.Snapshot != nil, len(rc.Records), rv)
 	}
 	for _, p := range probeQueries(rng, 40) {
 		got, want := recovered.Estimate(p), served.Estimate(p)

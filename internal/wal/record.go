@@ -183,56 +183,37 @@ func decodePayload(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// CorruptPolicy controls how replay treats a frame whose checksum or
-// structure is invalid.
-type CorruptPolicy int
-
-const (
-	// StopAtCorrupt ends replay at the first invalid frame. Everything after
-	// it is discarded — the conservative default, since bytes after a
-	// corruption are untrustworthy.
-	StopAtCorrupt CorruptPolicy = iota
-	// SkipCorrupt skips an invalid frame whose length field is still
-	// plausible and keeps replaying. When the length field itself is
-	// implausible (zero or beyond MaxRecordBytes) there is no safe resync
-	// point and replay stops regardless.
-	SkipCorrupt
-)
-
-// Replay decodes the frames of a segment.
+// Replay decodes the frames of a segment, stopping at the first frame that
+// is torn, fails its checksum or does not decode: bytes after a damaged
+// frame are untrustworthy, so nothing past it is replayed.
 //
 // It returns the decoded records, cleanLen (the byte offset just past the
-// last structurally complete frame — the safe truncation point for further
-// appends), the number of corrupt frames skipped under SkipCorrupt, and
-// torn=true when replay ended before the end of data (torn tail or
-// corruption under StopAtCorrupt). Replay never fails: a damaged segment
-// yields the longest trustworthy prefix.
-func Replay(data []byte, policy CorruptPolicy) (recs []Record, cleanLen int64, skipped int, torn bool) {
+// last good frame — the safe truncation point for further appends), and
+// torn=true when replay ended before the end of data. Replay never fails:
+// a damaged segment yields the longest trustworthy prefix.
+func Replay(data []byte) (recs []Record, cleanLen int64, torn bool) {
 	off := 0
 	for {
 		if off == len(data) {
-			return recs, int64(off), skipped, false
+			return recs, int64(off), false
 		}
 		if len(data)-off < frameHeader {
-			return recs, int64(off), skipped, true // torn header
+			return recs, int64(off), true // torn header
 		}
 		length := int(binary.LittleEndian.Uint32(data[off:]))
 		if length == 0 || length > MaxRecordBytes {
-			return recs, int64(off), skipped, true // no safe resync
+			return recs, int64(off), true // implausible length
 		}
 		if len(data)-off-frameHeader < length {
-			return recs, int64(off), skipped, true // torn payload
+			return recs, int64(off), true // torn payload
 		}
 		payload := data[off+frameHeader : off+frameHeader+length]
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		rec, derr := decodePayload(payload)
-		if crc32.ChecksumIEEE(payload) != wantCRC || derr != nil {
-			if policy == SkipCorrupt {
-				skipped++
-				off += frameHeader + length
-				continue
-			}
-			return recs, int64(off), skipped, true
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
+			return recs, int64(off), true
+		}
+		rec, err := decodePayload(payload)
+		if err != nil {
+			return recs, int64(off), true
 		}
 		recs = append(recs, rec)
 		off += frameHeader + length

@@ -140,16 +140,19 @@ func HasState(dir string) bool {
 	return err == nil
 }
 
-// shipFile is one decoded archive entry.
-type shipFile struct {
-	name string
-	data []byte
+// shipArchive is a decoded and fully verified archive.
+type shipArchive struct {
+	m     manifest
+	mdata []byte            // the MANIFEST as shipped, committed verbatim
+	files map[string][]byte // every other file, by name
 }
 
-// readArchive decodes and fully verifies an archive stream. Any truncation,
-// checksum failure or structural anomaly is an error — a torn ship must
-// never be partially believed.
-func readArchive(r io.Reader) ([]shipFile, error) {
+// readArchive decodes and fully verifies an archive stream: framing,
+// checksums, the trailer's file count, and a manifest that names a segment
+// (and checkpoint, if any) the archive carries. Any truncation, checksum
+// failure or structural anomaly is an error — a torn ship must never be
+// partially believed.
+func readArchive(r io.Reader) (*shipArchive, error) {
 	magic := make([]byte, len(shipMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("wal: ship: reading magic: %w", err)
@@ -157,7 +160,8 @@ func readArchive(r io.Reader) ([]shipFile, error) {
 	if !bytes.Equal(magic, shipMagic) {
 		return nil, fmt.Errorf("wal: ship: bad magic %q", magic)
 	}
-	var files []shipFile
+	a := &shipArchive{files: make(map[string][]byte)}
+	count := 0
 	for {
 		var hdr [2]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -169,14 +173,17 @@ func readArchive(r io.Reader) ([]shipFile, error) {
 			if _, err := io.ReadFull(r, end[:]); err != nil {
 				return nil, fmt.Errorf("wal: ship: torn trailer: %w", err)
 			}
-			count := binary.LittleEndian.Uint32(end[0:4])
+			want := binary.LittleEndian.Uint32(end[0:4])
 			if crc32.ChecksumIEEE(end[0:4]) != binary.LittleEndian.Uint32(end[4:8]) {
 				return nil, fmt.Errorf("wal: ship: trailer checksum mismatch")
 			}
-			if int(count) != len(files) {
-				return nil, fmt.Errorf("wal: ship: trailer names %d files, stream carried %d", count, len(files))
+			if int(want) != count {
+				return nil, fmt.Errorf("wal: ship: trailer names %d files, stream carried %d", want, count)
 			}
-			return files, nil
+			if err := a.check(); err != nil {
+				return nil, err
+			}
+			return a, nil
 		}
 		if nameLen == 0 || nameLen > maxShipName {
 			return nil, fmt.Errorf("wal: ship: bad name length %d", nameLen)
@@ -186,7 +193,9 @@ func readArchive(r io.Reader) ([]shipFile, error) {
 			return nil, fmt.Errorf("wal: ship: torn frame header: %w", err)
 		}
 		name := string(frame[:nameLen])
-		if strings.ContainsAny(name, "/\\") || name == "." || name == ".." {
+		// RestoreArchive stages the manifest under manifestTmp, so a file of
+		// that name would be overwritten by the commit.
+		if strings.ContainsAny(name, "/\\") || name == "." || name == ".." || name == manifestTmp {
 			return nil, fmt.Errorf("wal: ship: unsafe file name %q", name)
 		}
 		dataLen := binary.LittleEndian.Uint32(frame[nameLen : nameLen+4])
@@ -194,8 +203,13 @@ func readArchive(r io.Reader) ([]shipFile, error) {
 		if dataLen > MaxShipFileBytes {
 			return nil, fmt.Errorf("wal: ship: file %q claims %d bytes, max %d", name, dataLen, MaxShipFileBytes)
 		}
-		data := make([]byte, dataLen)
-		if _, err := io.ReadFull(r, data); err != nil {
+		// The length is the peer's claim: read through a LimitReader so
+		// memory grows with the bytes that arrive, not with the claim.
+		data, err := io.ReadAll(io.LimitReader(r, int64(dataLen)))
+		if err == nil && len(data) < int(dataLen) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, fmt.Errorf("wal: ship: torn file %q: %w", name, err)
 		}
 		crc := crc32.ChecksumIEEE(frame[:nameLen])
@@ -203,8 +217,45 @@ func readArchive(r io.Reader) ([]shipFile, error) {
 		if crc != wantCRC {
 			return nil, fmt.Errorf("wal: ship: checksum mismatch in %q", name)
 		}
-		files = append(files, shipFile{name: name, data: data})
+		count++
+		if name == manifestName {
+			if a.mdata != nil {
+				return nil, fmt.Errorf("wal: ship: duplicate manifest")
+			}
+			if err := json.Unmarshal(data, &a.m); err != nil {
+				return nil, fmt.Errorf("wal: ship: corrupt manifest: %w", err)
+			}
+			a.mdata = data
+			continue
+		}
+		if _, dup := a.files[name]; dup {
+			return nil, fmt.Errorf("wal: ship: duplicate file %q", name)
+		}
+		a.files[name] = data
 	}
+}
+
+// check verifies that the manifest names a segment, and a checkpoint if
+// any, that the archive carries, and nothing beyond those two.
+func (a *shipArchive) check() error {
+	if a.mdata == nil {
+		return fmt.Errorf("wal: ship: archive has no manifest")
+	}
+	if a.m.WAL == "" {
+		return fmt.Errorf("wal: ship: manifest names no segment")
+	}
+	if _, ok := a.files[a.m.WAL]; !ok {
+		return fmt.Errorf("wal: ship: manifest names segment %q, absent from archive", a.m.WAL)
+	}
+	if a.m.Checkpoint != "" {
+		if _, ok := a.files[a.m.Checkpoint]; !ok {
+			return fmt.Errorf("wal: ship: manifest names checkpoint %q, absent from archive", a.m.Checkpoint)
+		}
+	}
+	if len(a.files) > 2 {
+		return fmt.Errorf("wal: ship: archive carries %d files beyond the manifest, want at most 2", len(a.files))
+	}
+	return nil
 }
 
 // RestoreArchive verifies the archive in r and materializes it into dir,
@@ -219,45 +270,9 @@ func RestoreArchive(dir string, opts Options, r io.Reader) error {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	files, err := readArchive(r)
+	a, err := readArchive(r)
 	if err != nil {
 		return err
-	}
-	var m manifest
-	var mdata []byte
-	rest := make(map[string][]byte, len(files))
-	for _, f := range files {
-		if f.name == manifestName {
-			if mdata != nil {
-				return fmt.Errorf("wal: ship: duplicate manifest")
-			}
-			mdata = f.data
-			if err := json.Unmarshal(f.data, &m); err != nil {
-				return fmt.Errorf("wal: ship: corrupt manifest: %w", err)
-			}
-			continue
-		}
-		if _, dup := rest[f.name]; dup {
-			return fmt.Errorf("wal: ship: duplicate file %q", f.name)
-		}
-		rest[f.name] = f.data
-	}
-	if mdata == nil {
-		return fmt.Errorf("wal: ship: archive has no manifest")
-	}
-	if m.WAL == "" {
-		return fmt.Errorf("wal: ship: manifest names no segment")
-	}
-	if _, ok := rest[m.WAL]; !ok {
-		return fmt.Errorf("wal: ship: manifest names segment %q, absent from archive", m.WAL)
-	}
-	if m.Checkpoint != "" {
-		if _, ok := rest[m.Checkpoint]; !ok {
-			return fmt.Errorf("wal: ship: manifest names checkpoint %q, absent from archive", m.Checkpoint)
-		}
-	}
-	if len(rest) > 2 {
-		return fmt.Errorf("wal: ship: archive carries %d files beyond the manifest, want at most 2", len(rest))
 	}
 
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -272,18 +287,18 @@ func RestoreArchive(dir string, opts Options, r io.Reader) error {
 
 	// Data files first, each durably. Deterministic order: segment, then
 	// checkpoint (not map order).
-	names := []string{m.WAL}
-	if m.Checkpoint != "" {
-		names = append(names, m.Checkpoint)
+	names := []string{a.m.WAL}
+	if a.m.Checkpoint != "" {
+		names = append(names, a.m.Checkpoint)
 	}
 	for _, name := range names {
-		if err := writeFileSync(fsys, join(name), rest[name]); err != nil {
+		if err := writeFileSync(fsys, join(name), a.files[name]); err != nil {
 			return fmt.Errorf("wal: ship: writing %q: %w", name, err)
 		}
 	}
 	// Commit point: MANIFEST last, atomically.
-	tmp := join(manifestName + ".tmp")
-	if err := writeFileSync(fsys, tmp, mdata); err != nil {
+	tmp := join(manifestTmp)
+	if err := writeFileSync(fsys, tmp, a.mdata); err != nil {
 		return fmt.Errorf("wal: ship: writing manifest temp: %w", err)
 	}
 	if err := fsys.Rename(tmp, join(manifestName)); err != nil {

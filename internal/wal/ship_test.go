@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sthist/internal/faultfs"
@@ -12,7 +15,7 @@ import (
 
 // buildShipSource creates a log with a checkpoint and a post-checkpoint tail
 // so an archive carries all three file kinds.
-func buildShipSource(t *testing.T, dir string) *Log {
+func buildShipSource(t testing.TB, dir string) *Log {
 	t.Helper()
 	l, _, err := Open(dir, Options{})
 	if err != nil {
@@ -236,5 +239,33 @@ func TestShipRestoreFaultSweep(t *testing.T) {
 		if rmerr := os.RemoveAll(dst); rmerr != nil {
 			t.Fatal(rmerr)
 		}
+	}
+}
+
+// lyingArchive is a torn archive whose MANIFEST frame claims 1 GiB of data
+// but carries 10 bytes.
+func lyingArchive() []byte {
+	a := append([]byte(nil), shipMagic...)
+	a = binary.LittleEndian.AppendUint16(a, uint16(len(manifestName)))
+	a = append(a, manifestName...)
+	a = binary.LittleEndian.AppendUint32(a, MaxShipFileBytes)
+	a = binary.LittleEndian.AppendUint32(a, 0) // crc, never reached
+	return append(a, make([]byte, 10)...)
+}
+
+// A peer's claimed frame length must not be an allocation: restoring an
+// archive that claims 1 GiB but carries 10 bytes fails as torn while
+// allocating about what arrived.
+func TestShipLyingLengthAllocatesWhatArrives(t *testing.T) {
+	dst := filepath.Join(t.TempDir(), "replica")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := RestoreArchive(dst, Options{}, bytes.NewReader(lyingArchive()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "torn file") {
+		t.Fatalf("lying archive: err = %v, want a torn-file error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a 10-byte frame allocated %d bytes", grew)
 	}
 }

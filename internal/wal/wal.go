@@ -14,8 +14,8 @@
 // crash anywhere during a checkpoint leaves the previous (checkpoint,
 // segment) pair intact and fully replayable: rotation is all-or-nothing.
 // Segment frames carry CRC-32 checksums; a torn final record (the crash
-// interrupted an append) is detected and dropped, and anything beyond a
-// corrupt frame is discarded or skipped per CorruptPolicy.
+// interrupted an append) is detected and dropped, and replay stops at the
+// first corrupt frame: nothing after it is trusted.
 //
 // All filesystem access goes through faultfs.FS, so the fault-injection
 // tests can fail, short-write, or corrupt any single operation and verify
@@ -50,8 +50,6 @@ type Options struct {
 	FS faultfs.FS
 	// Sync is the append fsync policy.
 	Sync SyncPolicy
-	// Corrupt is the replay policy for checksum failures.
-	Corrupt CorruptPolicy
 	// Observer, when non-nil, receives a timing callback per durability
 	// operation. Callbacks run synchronously under the log's lock and must
 	// not re-enter the Log.
@@ -82,10 +80,9 @@ type Recovery struct {
 	// snapshot, in order.
 	Records []Record
 	// Torn reports that the segment ended in a torn or corrupt frame, which
-	// was dropped (expected after a crash mid-append).
+	// was dropped with everything after it (expected after a crash
+	// mid-append).
 	Torn bool
-	// Skipped counts corrupt frames skipped under SkipCorrupt.
-	Skipped int
 }
 
 // manifest is the JSON commit record.
@@ -97,7 +94,12 @@ type manifest struct {
 	LastSeq    uint64 `json:"last_seq"`
 }
 
-const manifestName = "MANIFEST"
+const (
+	manifestName = "MANIFEST"
+	// manifestTmp is where RestoreArchive stages a shipped manifest before
+	// renaming it into place.
+	manifestTmp = manifestName + ".tmp"
+)
 
 func segName(gen uint64) string  { return fmt.Sprintf("wal-%08d.log", gen) }
 func snapName(gen uint64) string { return fmt.Sprintf("checkpoint-%08d.snap", gen) }
@@ -155,7 +157,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 			return nil, nil, fmt.Errorf("wal: reading segment %s: %w", l.seg, rerr)
 		}
 		var cleanLen int64
-		rec.Records, cleanLen, rec.Skipped, rec.Torn = Replay(data, opts.Corrupt)
+		rec.Records, cleanLen, rec.Torn = Replay(data)
 		if n := len(rec.Records); n > 0 && rec.Records[n-1].Seq > l.lastSeq {
 			l.lastSeq = rec.Records[n-1].Seq
 		}

@@ -30,9 +30,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, cleanLen, skipped, torn := Replay(buf, StopAtCorrupt)
-	if torn || skipped != 0 || cleanLen != int64(len(buf)) {
-		t.Fatalf("torn=%v skipped=%d cleanLen=%d len=%d", torn, skipped, cleanLen, len(buf))
+	got, cleanLen, torn := Replay(buf)
+	if torn || cleanLen != int64(len(buf)) {
+		t.Fatalf("torn=%v cleanLen=%d len=%d", torn, cleanLen, len(buf))
 	}
 	if !reflect.DeepEqual(got, records) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, records)
@@ -64,7 +64,7 @@ func TestReplayTornTail(t *testing.T) {
 	// Cut the second frame at every possible offset: replay must always
 	// recover exactly the first record and report the torn tail.
 	for cut := whole + 1; cut < len(full); cut++ {
-		got, cleanLen, _, torn := Replay(full[:cut], StopAtCorrupt)
+		got, cleanLen, torn := Replay(full[:cut])
 		if len(got) != 1 || got[0].Seq != 1 {
 			t.Fatalf("cut=%d: got %d records", cut, len(got))
 		}
@@ -77,6 +77,9 @@ func TestReplayTornTail(t *testing.T) {
 	}
 }
 
+// TestReplayCorruptionPolicies pins the one corruption rule: replay stops at
+// the first bad frame, whether its checksum fails or its length field is
+// implausible, and keeps nothing after it.
 func TestReplayCorruptionPolicies(t *testing.T) {
 	var buf []byte
 	var err error
@@ -91,28 +94,23 @@ func TestReplayCorruptionPolicies(t *testing.T) {
 	bad := append([]byte(nil), buf...)
 	bad[frame+frameHeader+10] ^= 0xFF
 
-	got, cleanLen, skipped, torn := Replay(bad, StopAtCorrupt)
-	if len(got) != 1 || !torn || skipped != 0 {
-		t.Errorf("stop policy: records=%d torn=%v skipped=%d", len(got), torn, skipped)
+	got, cleanLen, torn := Replay(bad)
+	if len(got) != 1 || !torn {
+		t.Errorf("bad checksum: records=%d torn=%v", len(got), torn)
 	}
 	if cleanLen != int64(frame) {
-		t.Errorf("stop policy cleanLen = %d, want %d", cleanLen, frame)
+		t.Errorf("bad checksum: cleanLen = %d, want %d", cleanLen, frame)
 	}
 
-	got, cleanLen, skipped, torn = Replay(bad, SkipCorrupt)
-	if len(got) != 2 || got[1].Seq != 3 || skipped != 1 || torn {
-		t.Errorf("skip policy: records=%d skipped=%d torn=%v", len(got), skipped, torn)
-	}
-	if cleanLen != int64(len(bad)) {
-		t.Errorf("skip policy cleanLen = %d, want %d", cleanLen, len(bad))
-	}
-
-	// Corrupt the length field itself: no safe resync even under SkipCorrupt.
+	// Corrupt the length field itself.
 	bad2 := append([]byte(nil), buf...)
 	binary.LittleEndian.PutUint32(bad2[frame:], MaxRecordBytes+1)
-	got, _, _, torn = Replay(bad2, SkipCorrupt)
+	got, cleanLen, torn = Replay(bad2)
 	if len(got) != 1 || !torn {
 		t.Errorf("bad length: records=%d torn=%v", len(got), torn)
+	}
+	if cleanLen != int64(frame) {
+		t.Errorf("bad length: cleanLen = %d, want %d", cleanLen, frame)
 	}
 }
 
@@ -295,7 +293,7 @@ func TestRecordPreservesFloatBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, _, _ := Replay(buf, StopAtCorrupt)
+		got, _, _ := Replay(buf)
 		if len(got) != 1 {
 			t.Fatal("record lost")
 		}
