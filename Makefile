@@ -51,11 +51,14 @@ bench-micro:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Records the sthole micro-benchmarks in results/BENCH_sthole.json under the
+# Records the sthole micro-benchmarks in results/BENCH_sthole.json and the
+# MineClus BenchmarkRun shapes in results/BENCH_mineclus.json under the
 # "current" label (pass LABEL=baseline before a change to stash a baseline).
 LABEL ?= current
 bench-json:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_sthole.json
+	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_mineclus.json \
+		-pkg ./internal/mineclus -bench 'BenchmarkRun$$' -benchtime 3x -count 3
 
 # Telemetry overhead guard: the instrumented feedback round must stay within
 # 5% of the uninstrumented one on the Drill@250 workload. benchjson keeps the

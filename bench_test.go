@@ -14,9 +14,12 @@ package sthist
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"sthist/internal/datagen"
 	"sthist/internal/experiment"
+	"sthist/internal/workload"
 )
 
 // benchConfig is the reduced scale used by every bench: ~1/25th of the
@@ -201,4 +204,56 @@ func BenchmarkSelectivityProfile(b *testing.B) {
 // BenchmarkAnatomy regenerates the histogram structure statistics.
 func BenchmarkAnatomy(b *testing.B) {
 	runExperiment(b, "anatomy", benchConfig())
+}
+
+// BenchmarkSkyTrueCountRound times the feedback round the end-to-end
+// benchmark's refine workload sends: a query's true count through Feedback,
+// on SkySim(0.02) (7 dimensions) seeded by MineClus, with 1% queries centred
+// on data rows, at 100 and 250 buckets. Unlike the sthole micro-benchmarks,
+// which drill a 2-d tree with idealized uniform-cluster counts, it runs the
+// seeded tree, whose root keeps 40 to 140 children, through the estimator's
+// interpolation, validation and snapshot publication. The workload is
+// drilled once before timing, and every op replays it from that saved tree,
+// so b.N does not change the path; us/round is the mean per observation.
+func BenchmarkSkyTrueCountRound(b *testing.B) {
+	ds := datagen.SkySim(0.02, 1)
+	for _, buckets := range []int{100, 250} {
+		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
+			est, err := Open(ds.Table, Options{Buckets: buckets, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			qs := workload.MustGenerate(est.Domain(), workload.Config{
+				VolumeFraction: 0.01, Centers: workload.DataCenters, N: 64, Seed: 7,
+			}, ds.Table)
+			actuals := make([]float64, len(qs))
+			for i, q := range qs {
+				actuals[i] = est.TrueCount(q)
+			}
+			for i, q := range qs {
+				if err := est.Feedback(q, actuals[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var snap bytes.Buffer
+			if err := est.SaveHistogram(&snap); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := est.LoadHistogram(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for j, q := range qs {
+					if err := est.Feedback(q, actuals[j]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(qs)), "us/round")
+		})
+	}
 }

@@ -54,17 +54,18 @@ func DefaultConfig() Config {
 }
 
 func (c *Config) validate() error {
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	// Each range test is written so that NaN fails it.
+	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("mineclus: alpha must be in (0,1], got %g", c.Alpha)
 	}
-	if c.Beta <= 0 || c.Beta >= 1 {
+	if !(c.Beta > 0 && c.Beta < 1) {
 		return fmt.Errorf("mineclus: beta must be in (0,1), got %g", c.Beta)
 	}
-	if c.Width <= 0 && len(c.Widths) == 0 {
+	if math.IsNaN(c.Width) || (c.Width <= 0 && len(c.Widths) == 0) {
 		return fmt.Errorf("mineclus: width must be positive, got %g", c.Width)
 	}
 	for d, w := range c.Widths {
-		if w <= 0 {
+		if !(w > 0) {
 			return fmt.Errorf("mineclus: widths[%d] must be positive, got %g", d, w)
 		}
 	}
@@ -188,14 +189,14 @@ func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 
 // buffers are the allocations every extraction round of one Run reuses.
 type buffers struct {
-	txCols [][]float64 // the round's transaction subsample, column by column
-	miners []miner     // one per trial worker
+	txKeys [][]uint64 // the round's transaction subsample as keyOf keys, column by column
+	miners []miner    // one per trial worker
 }
 
 func newBuffers(dims, points, workers int) *buffers {
-	b := &buffers{txCols: make([][]float64, dims), miners: make([]miner, workers)}
-	for d := range b.txCols {
-		b.txCols[d] = make([]float64, 0, points)
+	b := &buffers{txKeys: make([][]uint64, dims), miners: make([]miner, workers)}
+	for d := range b.txKeys {
+		b.txKeys[d] = make([]uint64, 0, points)
 	}
 	return b
 }
@@ -222,13 +223,13 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 			txMinSup = 2
 		}
 	}
-	// Gather the subsample column by column, so each trial's covers come from
-	// sequential scans.
-	txCols := buf.txCols
+	// Gather the subsample column by column as order-preserving keys, so each
+	// trial's covers come from sequential scans of unsigned range tests.
+	txKeys := buf.txKeys
 	for d, col := range cols {
-		txCols[d] = txCols[d][:len(txRows)]
+		txKeys[d] = txKeys[d][:len(txRows)]
 		for i, r := range txRows {
-			txCols[d][i] = col[r]
+			txKeys[d][i] = keyOf(col[r])
 		}
 	}
 
@@ -259,7 +260,7 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 				for d, col := range cols {
 					medoid[d] = col[medoidRows[trial]]
 				}
-				m.cover(txCols, medoid, &cfg)
+				m.cover(txKeys, medoid, &cfg)
 				items, _, score, ok := m.mine(dims, txMinSup, gain)
 				if !ok || len(items) < cfg.MinDims {
 					continue

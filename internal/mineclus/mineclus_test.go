@@ -19,6 +19,11 @@ func TestConfigValidation(t *testing.T) {
 		{Alpha: 0.1, Beta: 1, Width: 10},
 		{Alpha: 0.1, Beta: 0.3, Width: 0},
 		{Alpha: 0.1, Beta: 0.3, Width: 10, MedoidSamples: -1},
+		{Alpha: math.NaN(), Beta: 0.3, Width: 10},
+		{Alpha: 0.1, Beta: math.NaN(), Width: 10},
+		{Alpha: 0.1, Beta: 0.3, Width: math.NaN()},
+		{Alpha: 0.1, Beta: 0.3, Width: math.NaN(), Widths: []float64{10}},
+		{Alpha: 0.1, Beta: 0.3, Widths: []float64{math.NaN()}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(tab, cfg); err == nil {
@@ -27,6 +32,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(dataset.MustNew("x"), DefaultConfig()); err == nil {
 		t.Error("empty table accepted")
+	}
+	// Infinite widths stay legal: every point is close on such a dimension.
+	for _, cfg := range []Config{
+		{Alpha: 0.1, Beta: 0.3, Width: math.Inf(1)},
+		{Alpha: 0.1, Beta: 0.3, Widths: []float64{math.Inf(1)}},
+	} {
+		if _, err := Run(tab, cfg); err != nil {
+			t.Errorf("config %+v rejected: %v", cfg, err)
+		}
 	}
 }
 

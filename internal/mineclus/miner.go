@@ -53,29 +53,114 @@ type level struct {
 	tids  []uint64 // words per item
 }
 
-// cover fills m.covers for the points in txCols (the trial's subsample,
-// column by column) around medoid: bit i of dimension d's cover is set iff
-// |q_d - p_d| <= w_d for point i, the comparison cluster membership uses.
-// Go compiles the loop body without a branch; a sign-bit trick would
-// disagree with the comparison on infinite coordinates.
-func (m *miner) cover(txCols [][]float64, medoid []float64, cfg *Config) {
-	m.words = (len(txCols[0]) + 63) / 64
-	m.covers = slices.Grow(m.covers[:0], len(txCols)*m.words)[:len(txCols)*m.words]
-	for d, col := range txCols {
-		p, w := medoid[d], cfg.widthFor(d)
+// cover fills m.covers for the points in txKeys (the trial's subsample,
+// column by column, as keyOf keys) around medoid: bit i of dimension d's
+// cover is set iff |q_d - p_d| <= w_d for point i, the comparison cluster
+// membership uses. The points passing it form one run of keys (keyWindow),
+// so each point costs one unsigned range test.
+func (m *miner) cover(txKeys [][]uint64, medoid []float64, cfg *Config) {
+	m.words = (len(txKeys[0]) + 63) / 64
+	m.covers = slices.Grow(m.covers[:0], len(txKeys)*m.words)[:len(txKeys)*m.words]
+	for d, keys := range txKeys {
 		cov := m.covers[d*m.words : (d+1)*m.words]
+		lo, span, ok := keyWindow(medoid[d], cfg.widthFor(d))
+		if !ok {
+			clear(cov)
+			continue
+		}
 		for k := range cov {
-			var word uint64
-			for j, v := range col[k*64 : min(len(col), k*64+64)] {
-				var b uint64
-				if math.Abs(v-p) <= w {
-					b = 1
-				}
-				word |= b << (j & 63) // j < 64: the mask only drops the shift's range check
-			}
-			cov[k] = word
+			cov[k] = windowBits(keys[k*64:min(len(keys), k*64+64)], lo, span)
 		}
 	}
+}
+
+// windowBits returns the bitmask of the (at most 64) keys in [lo, lo+span]:
+// bit j for keys[j]. The test is unrolled eight keys at a time with constant
+// bits, which Go compiles to independent compares and conditional moves.
+func windowBits(keys []uint64, lo, span uint64) uint64 {
+	var word uint64
+	j := 0
+	for ; j+8 <= len(keys); j += 8 {
+		x := keys[j : j+8 : j+8]
+		var b uint64
+		if x[0]-lo <= span {
+			b |= 1
+		}
+		if x[1]-lo <= span {
+			b |= 2
+		}
+		if x[2]-lo <= span {
+			b |= 4
+		}
+		if x[3]-lo <= span {
+			b |= 8
+		}
+		if x[4]-lo <= span {
+			b |= 16
+		}
+		if x[5]-lo <= span {
+			b |= 32
+		}
+		if x[6]-lo <= span {
+			b |= 64
+		}
+		if x[7]-lo <= span {
+			b |= 128
+		}
+		word |= b << j
+	}
+	for ; j < len(keys); j++ {
+		if keys[j]-lo <= span {
+			word |= 1 << j
+		}
+	}
+	return word
+}
+
+// keyOf maps v to a key whose unsigned order is v's order: -0 sits just
+// below +0 and NaNs lie outside [keyOf(-Inf), keyOf(+Inf)].
+func keyOf(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// valueOf inverts keyOf.
+func valueOf(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// keyWindow returns the run [lo, lo+span] of keys whose values v satisfy
+// |v - p| <= w; ok is false when no value does. It is a single run because
+// v - p rounds monotonically in v (±Inf included), so -w <= v - p <= w holds
+// on an interval of values, and -0 and +0, equal values, have adjacent keys.
+// The run contains p when p is finite. An infinite p admits at most the
+// values short of it (all of them, and only for an infinite w), so the
+// largest finite value of p's sign anchors the search instead. Each bound is
+// a binary search of the predicate itself over the keys of [-Inf, +Inf].
+func keyWindow(p, w float64) (lo, span uint64, ok bool) {
+	inside := func(k uint64) bool { return math.Abs(valueOf(k)-p) <= w }
+	anchor := keyOf(max(-math.MaxFloat64, min(p, math.MaxFloat64)))
+	if !inside(anchor) {
+		return 0, 0, false
+	}
+	a, b := keyOf(math.Inf(-1)), anchor // the first inside key is in [a, b]
+	for a < b {
+		if mid := a + (b-a)/2; inside(mid) {
+			b = mid
+		} else {
+			a = mid + 1
+		}
+	}
+	lo = a
+	a, b = anchor, keyOf(math.Inf(1)) // the last inside key is in [a, b]
+	for a < b {
+		if mid := b - (b-a)/2; inside(mid) {
+			a = mid
+		} else {
+			b = mid - 1
+		}
+	}
+	return lo, a - lo, true
 }
 
 // mine returns the itemset over the first dims covers maximizing

@@ -377,7 +377,13 @@ func TestCoverMatchesPredicate(t *testing.T) {
 			widths[0] = math.Inf(1)
 		}
 		cfg := Config{Widths: widths}
-		m.cover(txCols, medoid, &cfg)
+		txKeys := make([][]uint64, dims)
+		for d, col := range txCols {
+			for _, v := range col {
+				txKeys[d] = append(txKeys[d], keyOf(v))
+			}
+		}
+		m.cover(txKeys, medoid, &cfg)
 		for d, col := range txCols {
 			for i, v := range col {
 				got := m.covers[d*m.words+i/64]&(1<<(i%64)) != 0
@@ -387,5 +393,82 @@ func TestCoverMatchesPredicate(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestQuickKeyWindowMatchesPredicate: a value lies in keyWindow's key run
+// exactly when |v - p| <= w. Besides random values it probes the
+// Nextafter neighbours of p±w and of the run's two ends, ±0, subnormals and
+// ±MaxFloat64, with ±Inf medoids and widths; keyOf must preserve order and
+// valueOf must invert it bit for bit.
+func TestQuickKeyWindowMatchesPredicate(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	inf := math.Inf(1)
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+		math.MaxFloat64, -math.MaxFloat64, inf, -inf, 1, -1}
+	pick := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Intn(620)-320))
+		case 2:
+			if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) {
+				return v
+			}
+			return 0
+		default:
+			return rng.Float64() * 1000
+		}
+	}
+	neighbours := func(vs []float64, v float64) []float64 {
+		return append(vs, v, math.Nextafter(v, inf), math.Nextafter(v, -inf),
+			math.Nextafter(math.Nextafter(v, inf), inf), math.Nextafter(math.Nextafter(v, -inf), -inf))
+	}
+	var empty, full, oneSided int
+	f := func() bool {
+		p, w := pick(), math.Abs(pick())
+		lo, span, ok := keyWindow(p, w)
+		vals := append(specials, p)
+		vals = neighbours(neighbours(vals, p-w), p+w)
+		for range 20 {
+			vals = append(vals, pick(), p+(rng.Float64()*4-2)*w)
+		}
+		if ok {
+			vals = neighbours(neighbours(vals, valueOf(lo)), valueOf(lo+span))
+		}
+		for _, v := range vals {
+			if math.IsNaN(v) {
+				continue
+			}
+			if got, want := ok && keyOf(v)-lo <= span, math.Abs(v-p) <= w; got != want {
+				t.Logf("v=%v p=%v w=%v: in run %v, predicate %v (run %v..%v, ok %v)", v, p, w, got, want, valueOf(lo), valueOf(lo+span), ok)
+				return false
+			}
+			if math.Float64bits(valueOf(keyOf(v))) != math.Float64bits(v) {
+				t.Logf("valueOf(keyOf(%v)) = %v", v, valueOf(keyOf(v)))
+				return false
+			}
+		}
+		if a, b := pick(), pick(); (a < b) != (keyOf(a) < keyOf(b)) && !(a == 0 && b == 0) {
+			t.Logf("keyOf reorders %v and %v", a, b)
+			return false
+		}
+		switch {
+		case !ok:
+			empty++
+		case lo == keyOf(-inf) && lo+span == keyOf(inf):
+			full++
+		case lo == keyOf(-inf) || lo+span == keyOf(inf):
+			oneSided++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d empty, %d full and %d one-sided runs", empty, full, oneSided)
+	if empty == 0 || full == 0 || oneSided == 0 {
+		t.Error("the sweep met no empty, full or one-sided run; it checks less than it claims")
 	}
 }

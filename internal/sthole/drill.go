@@ -126,9 +126,12 @@ func (h *Histogram) drillBucket(b *Bucket, q geom.Rect, count CountFunc) {
 	}
 
 	// Drill a new hole: move the children of b that lie inside the candidate
-	// under the new bucket, then split the frequencies. The candidate is a
-	// scratch rectangle, so the new bucket clones it.
-	bn := &Bucket{box: cand.Clone(), seq: h.nextSeq()}
+	// under the new bucket, then split the frequencies. b's child set is
+	// rewritten in place, the kept children and then the hole, instead of
+	// by a detach per moved child, so this filter bumps b's generation
+	// itself. The candidate is a scratch rectangle, so the new bucket
+	// clones it.
+	bn := &Bucket{box: cand.Clone(), parent: b, seq: h.nextSeq()}
 	movedFreq := 0.0
 	kept := b.children[:0]
 	for _, c := range b.children {
@@ -139,7 +142,8 @@ func (h *Histogram) drillBucket(b *Bucket, q geom.Rect, count CountFunc) {
 			kept = append(kept, c)
 		}
 	}
-	b.children = kept
+	b.children = append(kept, bn)
+	b.gen++
 	bn.freq = actual - movedFreq
 	if bn.freq < 0 {
 		bn.freq = 0
@@ -148,7 +152,6 @@ func (h *Histogram) drillBucket(b *Bucket, q geom.Rect, count CountFunc) {
 	if b.freq < 0 {
 		b.freq = 0
 	}
-	b.attach(bn)
 	h.count++
 	h.touch(b)
 	h.touch(bn)

@@ -110,6 +110,55 @@ func TestEquivalenceMergeToOneBucket(t *testing.T) {
 	}
 }
 
+// TestEquivalenceWideParents cross-checks every merge selection where the
+// sibling geometry cache does its work: parents with more than
+// exhaustivePairLimit children (the nearest-neighbour pair path), drills
+// that land inside a child (its own volume changes, the parent's child set
+// and cached geometry stay), and drills at the parent's level, whose child
+// filter takes children under the new hole.
+func TestEquivalenceWideParents(t *testing.T) {
+	rng := rand.New(rand.NewSource(2027))
+	var wide, inside int
+	for w := 0; w < 12; w++ {
+		dims := 2 + w%2
+		dom := randomDomain(dims)
+		h := MustNew(dom, 2*exhaustivePairLimit+8, 100000)
+		h.crossCheck = true
+		count := randomClusterCount(rng, dom)
+		for i := 0; i < 300; i++ {
+			q := randomQuery(rng, dom, 2, 9)
+			if bs := h.Buckets(); i%3 == 2 && len(bs) > 1 {
+				q = insideQuery(rng, bs[1+rng.Intn(len(bs)-1)].box)
+				inside++
+			}
+			h.Drill(q, count)
+			if h.crossCheckErr != nil {
+				t.Fatalf("workload %d (dims=%d) query %d: %v", w, dims, i, h.crossCheckErr)
+			}
+			if len(h.root.children) > exhaustivePairLimit {
+				wide++
+			}
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("workload %d: %v", w, err)
+		}
+	}
+	t.Logf("%d rounds with a root over the pair limit, %d drills inside a bucket", wide, inside)
+	if wide == 0 {
+		t.Fatal("the root never had more than exhaustivePairLimit children; the nearest-neighbour path went untested")
+	}
+}
+
+// insideQuery returns a random rectangle inside box.
+func insideQuery(rng *rand.Rand, box geom.Rect) geom.Rect {
+	q := box.Clone()
+	for d := range q.Lo {
+		a, b := box.Lo[d]+rng.Float64()*box.Side(d), box.Lo[d]+rng.Float64()*box.Side(d)
+		q.Lo[d], q.Hi[d] = min(a, b), max(a, b)
+	}
+	return q
+}
+
 // TestDrillSteadyStateZeroAllocs asserts the allocation-free invariant of
 // the feedback round: when the feedback source agrees with the histogram
 // (every candidate drill is skipped), Drill performs zero heap allocations.

@@ -30,6 +30,7 @@ type Bucket struct {
 	parent   *Bucket
 	children []*Bucket
 	seq      uint64 // creation order, tie-breaker for merge scheduling
+	gen      uint64 // child-set generation: bumped by every change to children
 }
 
 // Box returns the bucket's bounding box.
@@ -83,6 +84,7 @@ func (b *Bucket) detach(c *Bucket) {
 	for i, ch := range b.children {
 		if ch == c {
 			b.children = append(b.children[:i], b.children[i+1:]...)
+			b.gen++
 			c.parent = nil
 			return
 		}
@@ -94,6 +96,7 @@ func (b *Bucket) detach(c *Bucket) {
 func (b *Bucket) attach(c *Bucket) {
 	c.parent = b
 	b.children = append(b.children, c)
+	b.gen++
 }
 
 // Histogram is an STHoles histogram.
@@ -104,12 +107,14 @@ type Histogram struct {
 	dims       int
 	frozen     bool // when true, Drill is a no-op (Fig. 17 experiment)
 
-	// merge bookkeeping (merge.go): cached penalties, the buckets whose
-	// entries must be recomputed before the next merge selection, the
-	// lazy-deletion candidate heap over the cache entries, and the bucket
-	// creation counter behind the deterministic tie-break order.
+	// merge bookkeeping (merge.go): cached penalties, the per-parent sibling
+	// pair geometry behind them, the buckets whose entries must be
+	// recomputed before the next merge selection, the lazy-deletion
+	// candidate heap over the cache entries, and the bucket creation counter
+	// behind the deterministic tie-break order.
 	mergeCache map[*Bucket]*parentMergeEntry
 	sibCache   map[*Bucket]*siblingMergeEntry
+	geomCache  map[*Bucket]*sibGeom
 	dirty      map[*Bucket]struct{}
 	merges     candidateHeap
 	seqCounter uint64
@@ -129,20 +134,18 @@ type Histogram struct {
 	candScratch   geom.Rect
 	boxScratch    geom.Rect
 	partScratch   []*Bucket
-	centerScratch []float64 // flat k×dims center buffer for bestSiblingMerge
+	centerScratch []float64 // flat k×dims center buffer for appendSiblingPairs
+	volScratch    []float64 // children's own volumes in bestSiblingMerge
 
-	// Flattened per-parent child geometry (dim-0 interval and box volume),
-	// shared by every pair evaluation of one bestSiblingMerge call so the
+	// Flattened per-parent child geometry (per-dim intervals and box
+	// volumes), shared by every pair evaluation over one parent so the
 	// sibling scan reads contiguous arrays instead of chasing bucket
-	// pointers. structGen increments on every tree mutation (touch/forget);
-	// the arrays are valid iff they were built for the same parent at the
-	// current generation.
-	structGen      uint64
+	// pointers. The arrays are valid iff they were built for the same
+	// parent at its current child-set generation (Bucket.gen).
 	sibArrParent   *Bucket
 	sibArrGen      uint64
 	sibLo, sibHi   []float64 // dims×k, per-dim contiguous: sibLo[d*k+i]
 	sibVol         []float64
-	sibOwnVol      float64 // parent's ownVolume(), pair-invariant
 	partIdxScratch []int
 
 	// mergeObs, when non-nil, receives one callback per executed merge
@@ -204,6 +207,7 @@ func (h *Histogram) nextSeq() uint64 {
 func (h *Histogram) resetMergeState() {
 	h.mergeCache = make(map[*Bucket]*parentMergeEntry)
 	h.sibCache = make(map[*Bucket]*siblingMergeEntry)
+	h.geomCache = make(map[*Bucket]*sibGeom)
 	h.dirty = make(map[*Bucket]struct{})
 	h.merges = h.merges[:0]
 	h.sibArrParent = nil // flattened sibling arrays may describe a stale tree

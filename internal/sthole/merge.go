@@ -31,6 +31,10 @@ import (
 //   - mergeCache caches, per non-root bucket, the penalty of merging it into
 //     its parent; sibCache caches, per parent, the best sibling merge among
 //     its children. Every computed entry is pushed onto the heap.
+//   - geomCache keeps, per parent, the box geometry behind its sibling
+//     candidates, keyed by the parent's child-set generation (Bucket.gen),
+//     so recomputing a sibCache entry after a frequency change skips the
+//     Fig. 3 box extension.
 //   - drills and merges invalidate only the entries they affect (touch),
 //     deleting them from the caches and queueing the owning buckets in the
 //     dirty set. Heap items whose entry pointer no longer matches the cache
@@ -151,7 +155,6 @@ func (h *Histogram) markDirty(b *Bucket) {
 // touch invalidates every cached merge penalty that depends on b's frequency
 // or children, and queues the affected buckets for recomputation.
 func (h *Histogram) touch(b *Bucket) {
-	h.structGen++
 	delete(h.mergeCache, b)
 	delete(h.sibCache, b)
 	h.markDirty(b)
@@ -172,9 +175,9 @@ func (h *Histogram) touch(b *Bucket) {
 // forget drops all merge-scheduling state for a bucket leaving the tree.
 // Stale heap items are discarded lazily on pop.
 func (h *Histogram) forget(b *Bucket) {
-	h.structGen++
 	delete(h.mergeCache, b)
 	delete(h.sibCache, b)
+	delete(h.geomCache, b)
 	delete(h.dirty, b)
 }
 
@@ -377,27 +380,83 @@ func parentChildPenalty(p, c *Bucket) float64 {
 	return math.Abs(fp-dn*vp) + math.Abs(fc-dn*vc)
 }
 
+// sibGeom is the geometry bestSiblingMerge reads for one parent: the sibling
+// pairs it considers, in its order, each with the volume of the parent's own
+// region the merged bucket would absorb, and the parent's own volume. All of
+// it follows from the boxes of the parent and its children, so it holds
+// while the child set is unchanged (gen equals the parent's gen). A change
+// of a frequency, or below a child, leaves it valid: frequencies and the
+// children's own volumes enter only the per-call arithmetic.
+type sibGeom struct {
+	gen    uint64
+	ownVol float64
+	pairs  []sibPair
+}
+
+// sibPair is one candidate sibling pair: indices into the parent's children
+// and the parent-own volume their extended box absorbs (filled in by
+// siblingGeometry; appendSiblingPairs leaves it 0).
+type sibPair struct {
+	i, j int
+	vold float64
+}
+
 // bestSiblingMerge evaluates sibling pairs among p's children and returns
-// the cheapest plan as a cache entry.
+// the cheapest plan as a cache entry. The pair geometry comes from the
+// per-parent cache, so unless p's child set changed this is O(pairs)
+// arithmetic plus one own-volume sum per child.
 func (h *Histogram) bestSiblingMerge(p *Bucket) *siblingMergeEntry {
+	g := h.siblingGeometry(p)
+	vols := h.volScratch[:0]
+	for _, c := range p.children {
+		vols = append(vols, c.ownVolume())
+	}
+	h.volScratch = vols
 	entry := &siblingMergeEntry{penalty: math.Inf(1)}
-	k := len(p.children)
-	consider := func(b1, b2 *Bucket) {
-		if pen, ok := h.siblingPenalty(p, b1, b2); ok && pen < entry.penalty {
+	for _, pr := range g.pairs {
+		b1, b2 := p.children[pr.i], p.children[pr.j]
+		if pen := pairPenalty(p.freq, g.ownVol, pr.vold, b1.freq, vols[pr.i], b2.freq, vols[pr.j]); pen < entry.penalty {
 			entry.b1, entry.b2, entry.penalty = b1, b2, pen
 		}
 	}
+	return entry
+}
+
+// siblingGeometry returns p's cached pair geometry, recomputing it when p's
+// child set changed since it was built.
+func (h *Histogram) siblingGeometry(p *Bucket) *sibGeom {
+	g := h.geomCache[p]
+	if g != nil && g.gen == p.gen {
+		return g
+	}
+	if g == nil {
+		g = &sibGeom{}
+		h.geomCache[p] = g
+	}
+	g.gen, g.ownVol = p.gen, p.ownVolume()
+	g.pairs = h.appendSiblingPairs(g.pairs[:0], p)
+	for x := range g.pairs {
+		pr := &g.pairs[x]
+		pr.vold = h.absorbedVolume(p, p.children[pr.i], p.children[pr.j])
+	}
+	return g
+}
+
+// appendSiblingPairs appends the sibling pairs of p that merge selection
+// considers: every pair while p has at most exhaustivePairLimit children,
+// otherwise each child with its nearest sibling by box-center distance.
+func (h *Histogram) appendSiblingPairs(dst []sibPair, p *Bucket) []sibPair {
+	k := len(p.children)
 	if k <= exhaustivePairLimit {
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
-				consider(p.children[i], p.children[j])
+				dst = append(dst, sibPair{i: i, j: j})
 			}
 		}
-		return entry
+		return dst
 	}
-	// Nearest-neighbor candidates only: for each child, the sibling with the
-	// closest box center. Centers go in one flat reusable buffer so the scan
-	// is allocation-free and cache-friendly.
+	// Centers go in one flat reusable buffer so the scan is allocation-free
+	// and cache-friendly.
 	dims := p.box.Dims()
 	if cap(h.centerScratch) < k*dims {
 		h.centerScratch = make([]float64, k*dims)
@@ -426,24 +485,24 @@ func (h *Histogram) bestSiblingMerge(p *Bucket) *siblingMergeEntry {
 				bestDist, best = d, j
 			}
 		}
-		if best > i { // evaluate each unordered pair once
-			consider(p.children[i], p.children[best])
+		// A mutual nearest pair is listed twice; the second copy cannot win
+		// (selection keeps the first of equal penalties).
+		if best > i {
+			dst = append(dst, sibPair{i: i, j: best})
 		} else if best >= 0 && best < i {
-			consider(p.children[best], p.children[i])
+			dst = append(dst, sibPair{i: best, j: i})
 		}
 	}
-	return entry
+	return dst
 }
 
-// siblingPenalty evaluates the closed-form penalty of merging siblings b1
-// and b2 under parent p, including the box extension of Fig. 3. It reports
-// ok=false when the merge is degenerate (should not be considered).
-func (h *Histogram) siblingPenalty(p, b1, b2 *Bucket) (float64, bool) {
+// absorbedVolume returns the volume of p's own region that merging siblings
+// b1 and b2 absorbs: their extended box (Fig. 3) minus the siblings inside
+// it. The participants' volumes come from the flattened arrays the box
+// extension just built — same values as part.box.Volume(), without the
+// pointer chase.
+func (h *Histogram) absorbedVolume(p, b1, b2 *Bucket) float64 {
 	box, _ := h.extendedSiblingBox(p, b1, b2)
-	// Volume of the parent's own region absorbed by the new bucket. The
-	// participants' volumes come from the flattened arrays the box extension
-	// just built — same values as part.box.Volume(), without the pointer
-	// chase.
 	vold := box.Volume()
 	for _, i := range h.partIdxScratch {
 		vold -= h.sibVol[i]
@@ -451,20 +510,24 @@ func (h *Histogram) siblingPenalty(p, b1, b2 *Bucket) (float64, bool) {
 	if vold < 0 {
 		vold = 0
 	}
-	vp := h.sibOwnVol // p.ownVolume(), cached by the box extension above
+	return vold
+}
+
+// pairPenalty is the closed form of Eq. 2 for merging siblings of frequency
+// f1, f2 and own volume v1, v2 into one bucket that also absorbs vold of
+// their parent's own region (frequency fp, volume vp).
+func pairPenalty(fp, vp, vold, f1, v1, f2, v2 float64) float64 {
 	absorbed := 0.0
 	if vp > 0 {
-		absorbed = p.freq * vold / vp
+		absorbed = fp * vold / vp
 	}
-	v1, v2 := b1.ownVolume(), b2.ownVolume()
 	vn := vold + v1 + v2
-	fn := b1.freq + b2.freq + absorbed
+	fn := f1 + f2 + absorbed
 	if vn <= 0 {
-		return 0, true
+		return 0
 	}
 	dn := fn / vn
-	pen := math.Abs(b1.freq-dn*v1) + math.Abs(b2.freq-dn*v2) + math.Abs(absorbed-dn*vold)
-	return pen, true
+	return math.Abs(f1-dn*v1) + math.Abs(f2-dn*v2) + math.Abs(absorbed-dn*vold)
 }
 
 // extendedSiblingBox computes the minimal rectangle enclosing b1 and b2,
@@ -524,11 +587,10 @@ func (h *Histogram) extendedSiblingBox(p, b1, b2 *Bucket) (geom.Rect, []*Bucket)
 }
 
 // buildSibArrays flattens p's children geometry into the histogram's sibling
-// scan arrays and caches the parent's own volume. The arrays stay valid for
-// repeated pair evaluations over the same unchanged parent (the common case
-// inside one bestSiblingMerge call) and are rebuilt after any tree mutation.
+// scan arrays. The arrays stay valid for repeated pair evaluations over the
+// same parent until its child set changes (p.gen).
 func (h *Histogram) buildSibArrays(p *Bucket) {
-	if h.sibArrParent == p && h.sibArrGen == h.structGen {
+	if h.sibArrParent == p && h.sibArrGen == p.gen {
 		return
 	}
 	k := len(p.children)
@@ -548,17 +610,7 @@ func (h *Histogram) buildSibArrays(p *Bucket) {
 		}
 		h.sibVol[i] = s.box.Volume()
 	}
-	// Same summation order as Bucket.ownVolume, so the cached value is
-	// bit-identical to recomputing it.
-	own := p.box.Volume()
-	for _, v := range h.sibVol {
-		own -= v
-	}
-	if own < 0 {
-		own = 0
-	}
-	h.sibOwnVol = own
-	h.sibArrParent, h.sibArrGen = p, h.structGen
+	h.sibArrParent, h.sibArrGen = p, p.gen
 }
 
 // mergeParentChild absorbs child c into its parent p: c's tuples join p's

@@ -55,10 +55,11 @@ func estimateBucketSlow(b *Bucket, q geom.Rect) float64 {
 
 // bestMergeSlow selects the cheapest merge by a full fresh scan: every
 // non-root bucket's parent-child penalty and every parent's best sibling
-// merge are recomputed from scratch, no caches or heap involved, and the
-// minimum is taken under the same strict total order (penalty, creation
-// sequence, kind) the heap uses. performBestMerge's crossCheck mode compares
-// its heap-scheduled selection against this on every merge.
+// merge are recomputed from scratch, no caches, pair geometry or heap
+// involved, and the minimum is taken under the same strict total order
+// (penalty, creation sequence, kind) the heap uses. performBestMerge's
+// crossCheck mode compares its heap-scheduled selection against this on
+// every merge.
 func (h *Histogram) bestMergeSlow() mergeChoice {
 	best := mergeChoice{penalty: math.Inf(1)}
 	found := false
@@ -83,7 +84,7 @@ func (h *Histogram) bestMergeSlow() mergeChoice {
 			}
 		}
 		if len(b.children) >= 2 {
-			if e := h.bestSiblingMerge(b); e.b1 != nil {
+			if e := h.bestSiblingMergeSlow(b); e.b1 != nil {
 				cand := mergeChoice{kind: kindSibling, penalty: e.penalty, seq: b.seq, p: b, s1: e.b1, s2: e.b2}
 				if better(cand) {
 					best, found = cand, true
@@ -99,4 +100,27 @@ func (h *Histogram) bestMergeSlow() mergeChoice {
 		panic("sthole: no merge candidate in reference scan")
 	}
 	return best
+}
+
+// bestSiblingMergeSlow is bestSiblingMerge without the geometry cache: it
+// lists p's candidate pairs afresh and evaluates each with siblingPenalty.
+// The flattened sibling arrays are rebuilt first, so no generation-keyed
+// state feeds it: a cache that misses a child-set change diverges from it.
+func (h *Histogram) bestSiblingMergeSlow(p *Bucket) *siblingMergeEntry {
+	h.sibArrParent = nil
+	entry := &siblingMergeEntry{penalty: math.Inf(1)}
+	for _, pr := range h.appendSiblingPairs(nil, p) {
+		b1, b2 := p.children[pr.i], p.children[pr.j]
+		if pen := h.siblingPenalty(p, b1, b2); pen < entry.penalty {
+			entry.b1, entry.b2, entry.penalty = b1, b2, pen
+		}
+	}
+	return entry
+}
+
+// siblingPenalty evaluates the closed-form penalty of merging siblings b1
+// and b2 under parent p from scratch, including the box extension of
+// Fig. 3.
+func (h *Histogram) siblingPenalty(p, b1, b2 *Bucket) float64 {
+	return pairPenalty(p.freq, p.ownVolume(), h.absorbedVolume(p, b1, b2), b1.freq, b1.ownVolume(), b2.freq, b2.ownVolume())
 }

@@ -238,13 +238,25 @@ func Open(tab *Table, opts Options) (*Estimator, error) {
 	if opts.Buckets == 0 {
 		opts.Buckets = 100
 	}
-	idx, err := index.BuildKDTree(tab)
-	if err != nil {
-		return nil, err
-	}
+	// Only seeding reads the exact-count index, so it is built beside the
+	// clustering. Every return joins the build.
+	var (
+		idx    *index.KDTree
+		idxErr error
+		built  sync.WaitGroup
+	)
+	built.Add(1)
+	go func() {
+		defer built.Done()
+		idx, idxErr = index.BuildKDTree(tab)
+	}()
+	defer built.Wait()
 	domain := opts.Domain
 	if domain.Dims() == 0 {
-		domain = idx.Bounds()
+		var err error
+		if domain, err = tab.Bounds(); err != nil {
+			return nil, err
+		}
 		// Inflate degenerate sides so the domain has volume.
 		for d := range domain.Lo {
 			if domain.Hi[d] <= domain.Lo[d] {
@@ -256,7 +268,12 @@ func Open(tab *Table, opts Options) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Estimator{work: hist, idx: idx, domain: domain}
+	e := &Estimator{work: hist, domain: domain}
+	joinIndex := func() error {
+		built.Wait()
+		e.idx = idx
+		return idxErr
+	}
 	switch {
 	case opts.ValidateEvery > 0:
 		e.validateEvery = opts.ValidateEvery
@@ -264,6 +281,9 @@ func Open(tab *Table, opts Options) (*Estimator, error) {
 		e.validateEvery = DefaultValidateEvery
 	} // negative: disabled (stays 0)
 	if opts.SkipInitialization {
+		if err := joinIndex(); err != nil {
+			return nil, err
+		}
 		e.lastGood = e.work.Clone()
 		e.publishLocked()
 		return e, nil
@@ -282,6 +302,9 @@ func Open(tab *Table, opts Options) (*Estimator, error) {
 	ccfg.Seed = opts.Seed
 	clusters, err := mineclus.Run(tab, ccfg)
 	if err != nil {
+		return nil, err
+	}
+	if err := joinIndex(); err != nil {
 		return nil, err
 	}
 	// The estimator owns an exact-count index, so initialization can feed
@@ -784,7 +807,9 @@ func (e *Estimator) AdoptHistogram(h *sthole.Histogram) error {
 func (e *Estimator) Clusters() []Cluster { return e.clusters }
 
 // Domain returns the estimation domain. Fixed at Open; safe for concurrent
-// use.
+// use. The caller must not modify the result: it is the estimator's own
+// rectangle, not a copy, so that hot paths such as a request's
+// Domain().Dims() check do not allocate.
 func (e *Estimator) Domain() Rect { return e.domain }
 
 // MeanAbsoluteError evaluates the estimator over a workload against the

@@ -154,6 +154,31 @@ func TestOpenDegenerateDomain(t *testing.T) {
 	}
 }
 
+// TestOpenLeavesIndexBounds: inflating a degenerate domain must not write
+// into the exact-count index, whose bounds stay the data's.
+func TestOpenLeavesIndexBounds(t *testing.T) {
+	tab, _ := NewTable("x", "y")
+	for i := 0; i < 100; i++ {
+		tab.MustAppend([]float64{7, float64(i)})
+	}
+	want, err := tab.Bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, skip := range []bool{true, false} {
+		est, err := Open(tab, Options{Buckets: 10, SkipInitialization: skip})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := est.idx.Bounds(); !got.Equal(want) {
+			t.Errorf("skip=%v: index bounds %v after Open, data bounds %v", skip, got, want)
+		}
+		if dom := est.Domain(); dom.Lo[0] != 7 || dom.Hi[0] != 8 {
+			t.Errorf("skip=%v: domain %v, want x inflated to [7,8]", skip, dom)
+		}
+	}
+}
+
 func TestConcurrentEstimateAndFeedback(t *testing.T) {
 	tab := clusteredTable(t)
 	est, err := Open(tab, Options{Buckets: 40, Seed: 6})
