@@ -21,8 +21,8 @@
 // Feedback is group-committed: each table has a single writer goroutine
 // draining a bounded queue (-feedback-queue), so concurrent requests
 // coalesce into one WAL append + fsync per batch (-feedback-batch caps the
-// batch, -batch-window optionally waits for stragglers). A full queue
-// answers 429 with Retry-After instead of buffering unboundedly.
+// batch). A full queue answers 429 with Retry-After instead of buffering
+// unboundedly.
 //
 // With -warm-from set (and -data-dir), a freshly provisioned node promotes
 // itself from a live peer before serving: each table with no local durable
@@ -100,7 +100,6 @@ type config struct {
 	shutdownGrace time.Duration
 	queueDepth    int
 	batchMax      int
-	batchWindow   time.Duration
 	drift         bool
 	driftCfg      drift.Config
 }
@@ -151,8 +150,6 @@ func setup(args []string) (*daemon, error) {
 		"per-table feedback queue depth; a full queue answers 429")
 	batchMax := fs.Int("feedback-batch", httpapi.DefaultFeedbackBatchMax,
 		"maximum observations per feedback group commit")
-	batchWindow := fs.Duration("batch-window", 0,
-		"how long the feedback writer waits for stragglers before committing a batch (0 = commit immediately)")
 	telemetryOn := fs.Bool("telemetry", true, "enable metrics and rolling accuracy tracking")
 	traceSample := fs.Float64("trace-sample", 0,
 		"probability of head-sampling a distributed trace per request (0 disables tracing, 1 traces everything; slow and failed traces are tail-retained regardless)")
@@ -196,9 +193,6 @@ func setup(args []string) (*daemon, error) {
 	if *batchMax < 1 {
 		return nil, fmt.Errorf("bad -feedback-batch %d (want >= 1)", *batchMax)
 	}
-	if *batchWindow < 0 {
-		return nil, fmt.Errorf("bad -batch-window %v (want >= 0)", *batchWindow)
-	}
 	if *traceSample < 0 || *traceSample > 1 {
 		return nil, fmt.Errorf("bad -trace-sample %v (want 0..1)", *traceSample)
 	}
@@ -236,7 +230,6 @@ func setup(args []string) (*daemon, error) {
 			shutdownGrace: *shutdownGrace,
 			queueDepth:    *queueDepth,
 			batchMax:      *batchMax,
-			batchWindow:   *batchWindow,
 			drift:         *driftOn,
 			driftCfg:      dcfg,
 		},
@@ -246,7 +239,6 @@ func setup(args []string) (*daemon, error) {
 	// Queue settings apply to tables registered afterwards, so they must be
 	// in place before the -table loop below.
 	d.srv.SetFeedbackQueue(*queueDepth, *batchMax)
-	d.srv.SetBatchWindow(*batchWindow)
 	if *telemetryOn {
 		slow := *slowQuery
 		if slow == 0 {

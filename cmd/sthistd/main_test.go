@@ -28,7 +28,6 @@ func TestSetupValidation(t *testing.T) {
 		"bad-fsync":        {"-table", "t=@cross:0.02", "-fsync", "sometimes"},
 		"bad-queue-depth":  {"-table", "t=@cross:0.02", "-feedback-queue", "0"},
 		"bad-batch-max":    {"-table", "t=@cross:0.02", "-feedback-batch", "0"},
-		"bad-batch-window": {"-table", "t=@cross:0.02", "-batch-window", "-1s"},
 		"drift-sans-telem": {"-table", "t=@cross:0.02", "-drift", "-telemetry=false"},
 		"bad-reseed-ratio": {"-table", "t=@cross:0.02", "-drift", "-reseed-ratio", "2"},
 		"bad-drift-floor":  {"-table", "t=@cross:0.02", "-drift", "-drift-reservoir", "4", "-drift-min-rounds", "1"},

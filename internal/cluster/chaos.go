@@ -77,9 +77,6 @@ func (c *Chaos) Set(target string, mode ChaosMode, delay time.Duration) {
 	c.faults[target] = chaosFault{mode: mode, delay: delay}
 }
 
-// Clear removes the fault on target.
-func (c *Chaos) Clear(target string) { c.Set(target, ChaosNone, 0) }
-
 // RoundTrip applies the target's fault, if any, then forwards.
 func (c *Chaos) RoundTrip(req *http.Request) (*http.Response, error) {
 	key := req.URL.Scheme + "://" + req.URL.Host

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"sthist/internal/edge"
 	"sthist/internal/telemetry"
 	"sthist/internal/trace"
 )
@@ -115,19 +115,14 @@ type Proxy struct {
 
 	tracer *trace.Tracer
 
-	retries  *telemetry.Counter
-	hedges   *telemetry.Counter
-	stale    *telemetry.Counter
-	shipDur  *telemetry.Histogram
-	requests map[string]*telemetry.Counter   // per proxied route, fixed at construction
-	durs     map[string]*telemetry.Histogram // per proxied route, fixed at construction
+	retries *telemetry.Counter
+	hedges  *telemetry.Counter
+	stale   *telemetry.Counter
+	shipDur *telemetry.Histogram
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu
 }
-
-// proxiedRoutes is the fixed route label set of sthist_proxy_requests_total.
-var proxiedRoutes = []string{"/estimate", "/feedback", "/stats", "/snapshot", "/tables"}
 
 // upstreamTransport is the default upstream round tripper: DefaultTransport
 // semantics with the idle pool resized for proxy fan-in (idleConnsPerTarget
@@ -191,12 +186,10 @@ func NewProxy(opts ProxyOptions) (*Proxy, error) {
 		opts: opts,
 		// The client timeout stays 0: per-attempt deadlines come from the
 		// request context so a hedged pair shares one budget.
-		client:   &http.Client{Transport: transport},
-		reg:      reg,
-		tracer:   opts.Tracer,
-		rng:      rand.New(rand.NewSource(seed)),
-		requests: make(map[string]*telemetry.Counter, len(proxiedRoutes)),
-		durs:     make(map[string]*telemetry.Histogram, len(proxiedRoutes)),
+		client: &http.Client{Transport: transport},
+		reg:    reg,
+		tracer: opts.Tracer,
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 	p.retries = reg.Counter(metricProxyRetries,
 		"Idempotent-read retry attempts beyond the first request.", nil)
@@ -207,13 +200,6 @@ func NewProxy(opts ProxyOptions) (*Proxy, error) {
 	p.shipDur = reg.Histogram(metricProxyShipDur,
 		"Snapshot ship duration through the proxy in seconds.",
 		telemetry.LatencyBuckets(), nil)
-	for _, route := range proxiedRoutes {
-		p.requests[route] = reg.Counter(metricProxyRequests,
-			"Proxied requests by route.", telemetry.L("route", route))
-		p.durs[route] = reg.Histogram(metricProxyDuration,
-			"Proxied request latency by route, client-side of the proxy.",
-			telemetry.LatencyBuckets(), telemetry.L("route", route))
-	}
 	unhealthy := make(map[string]*telemetry.Gauge, len(opts.Targets))
 	for _, t := range ring.Targets() {
 		g := reg.Gauge(metricProxyUnhealthy,
@@ -253,23 +239,63 @@ func (p *Proxy) Monitor() *Monitor { return p.mon }
 // Registry returns the registry holding the proxy metrics.
 func (p *Proxy) Registry() *telemetry.Registry { return p.reg }
 
-// Handler returns the proxy's HTTP surface: the four proxied sthistd routes
-// plus the proxy's own health split, metrics and cluster view.
+// Handler returns the proxy's HTTP surface behind the request edge
+// (internal/edge): the five proxied sthistd routes, each with a "proxy
+// <route>" root span when a tracer is set and with per-route latency and
+// request counts by route and code, plus the proxy's own health split,
+// cluster view, debug plane and metrics, which are neither traced nor
+// counted.
 func (p *Proxy) Handler() http.Handler {
+	reg := p.reg
+	e := edge.New("proxy", p.tracer, &edge.Metrics{
+		Duration: func(route string) *telemetry.Histogram {
+			return reg.Histogram(metricProxyDuration,
+				"Proxied request latency by route, client-side of the proxy.",
+				telemetry.LatencyBuckets(), telemetry.L("route", route))
+		},
+		Requests: func(route string, code int) *telemetry.Counter {
+			return reg.Counter(metricProxyRequests,
+				"Proxied requests by route and status code.", edge.Labels(route, code))
+		},
+	})
+	bare := edge.New("proxy", nil, nil)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/estimate", p.traced("/estimate", p.handleEstimate))
-	mux.HandleFunc("/feedback", p.traced("/feedback", p.handleFeedback))
-	mux.HandleFunc("/stats", p.traced("/stats", p.handleStats))
-	mux.HandleFunc("/tables", p.traced("/tables", p.handleTables))
-	mux.HandleFunc("/snapshot", p.traced("/snapshot", p.handleSnapshot))
-	mux.HandleFunc("/livez", p.handleLivez)
-	mux.HandleFunc("/readyz", p.handleReadyz)
-	mux.HandleFunc("/healthz", p.handleReadyz) // the proxy holds no state: healthy == ready
-	mux.HandleFunc("/cluster", p.handleCluster)
-	mux.HandleFunc("/debug/trace/spans", p.handleTraceSpans)
-	mux.HandleFunc("/debug/trace/exemplars", p.handleTraceExemplars)
+	e.Handle(mux, "/estimate", http.MethodPost, p.handleEstimate)
+	e.Handle(mux, "/feedback", http.MethodPost, p.handleFeedback)
+	e.Handle(mux, "/stats", http.MethodGet, p.handleStats)
+	e.Handle(mux, "/tables", http.MethodGet, p.handleTables)
+	e.Handle(mux, "/snapshot", http.MethodGet, p.handleSnapshot)
+	bare.Handle(mux, "/livez", http.MethodGet, p.handleLivez)
+	bare.Handle(mux, "/readyz", http.MethodGet, p.handleReadyz)
+	bare.Handle(mux, "/healthz", http.MethodGet, p.handleReadyz) // the proxy holds no state: healthy == ready
+	bare.Handle(mux, "/cluster", http.MethodGet, p.handleCluster)
+	bare.Handle(mux, "/debug/trace/spans", http.MethodGet, edge.Spans(p.tracer, p.gatherSpans))
+	bare.Handle(mux, "/debug/trace/exemplars", http.MethodGet, e.Exemplars)
 	mux.Handle("/metrics", p.reg.MetricsHandler())
 	return mux
+}
+
+// gatherSpans assembles one cross-process trace: the proxy's own retained
+// spans merged with the spans every ready target still holds for the ID,
+// deduplicated into one timeline.
+func (p *Proxy) gatherSpans(ctx context.Context, id string) []trace.SpanData {
+	groups := [][]trace.SpanData{p.tracer.Spans(id)}
+	for _, target := range p.ring.Targets() {
+		if !p.mon.Ready(target) {
+			continue
+		}
+		u, err := p.send(ctx, http.MethodGet, target, "/debug/trace/spans?trace="+id, "", nil)
+		if err != nil || u.status != http.StatusOK {
+			continue // a target without tracing (404) or mid-failover contributes nothing
+		}
+		var part struct {
+			Spans []trace.SpanData `json:"spans"`
+		}
+		if err := json.Unmarshal(u.body, &part); err == nil {
+			groups = append(groups, part.Spans)
+		}
+	}
+	return trace.Merge(groups...)
 }
 
 // candidates returns the ready-filtered targets for table in ring preference
@@ -461,14 +487,6 @@ func relay(w http.ResponseWriter, u *upstream) {
 	_, _ = w.Write(u.body)
 }
 
-// writeError answers a proxy-originated error as sthistd does: a JSON
-// {"error": msg} body with Content-Type application/json.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg}) // client gone: nothing useful to do
-}
-
 // unavailable is the proxy-originated degradation response: every candidate
 // failed, tell the client when to come back rather than just failing.
 func unavailable(w http.ResponseWriter, err error) {
@@ -477,7 +495,7 @@ func unavailable(w http.ResponseWriter, err error) {
 	if err != nil {
 		msg = err.Error()
 	}
-	writeError(w, http.StatusServiceUnavailable, msg)
+	edge.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
 // readTableBody reads a bounded JSON request body and extracts the table
@@ -485,25 +503,20 @@ func unavailable(w http.ResponseWriter, err error) {
 func readTableBody(w http.ResponseWriter, r *http.Request) (string, []byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		edge.WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return "", nil, false
 	}
 	var probe struct {
 		Table string `json:"table"`
 	}
 	if err := json.Unmarshal(body, &probe); err != nil || probe.Table == "" {
-		writeError(w, http.StatusBadRequest, "body carries no table name")
+		edge.WriteError(w, http.StatusBadRequest, "body carries no table name")
 		return "", nil, false
 	}
 	return probe.Table, body, true
 }
 
 func (p *Proxy) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	p.requests["/estimate"].Inc()
 	table, body, ok := readTableBody(w, r)
 	if !ok {
 		return
@@ -527,11 +540,6 @@ func (p *Proxy) handleEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	p.requests["/feedback"].Inc()
 	table, body, ok := readTableBody(w, r)
 	if !ok {
 		return
@@ -551,14 +559,9 @@ func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	p.requests["/stats"].Inc()
 	table := r.URL.Query().Get("table")
 	if table == "" {
-		writeError(w, http.StatusBadRequest, "missing table parameter")
+		edge.WriteError(w, http.StatusBadRequest, "missing table parameter")
 		return
 	}
 	cands := p.candidates(table)
@@ -574,11 +577,6 @@ func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleTables unions the table listings of every ready target: tables are
 // sharded across the cluster, so no single node knows them all.
 func (p *Proxy) handleTables(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	p.requests["/tables"].Inc()
 	seen := make(map[string]bool)
 	var names []string
 	var lastErr error
@@ -610,19 +608,13 @@ func (p *Proxy) handleTables(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sort.Strings(names)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(names)
+	edge.WriteJSON(w, http.StatusOK, names)
 }
 
 func (p *Proxy) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	p.requests["/snapshot"].Inc()
 	table := r.URL.Query().Get("table")
 	if table == "" {
-		writeError(w, http.StatusBadRequest, "missing table parameter")
+		edge.WriteError(w, http.StatusBadRequest, "missing table parameter")
 		return
 	}
 	// Snapshots ship from the table's authoritative owner: the first ready
@@ -642,41 +634,25 @@ func (p *Proxy) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	relay(w, u)
 }
 
-func (p *Proxy) handleLivez(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = io.WriteString(w, `{"status":"live"}`+"\n")
+func (p *Proxy) handleLivez(w http.ResponseWriter, _ *http.Request) {
+	edge.WriteJSON(w, http.StatusOK, map[string]string{"status": "live"})
 }
 
 // handleReadyz: the proxy is ready when it can route somewhere — at least one
 // target absorbed as ready.
-func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
+func (p *Proxy) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready := p.mon.ReadyCount()
 	if ready == 0 {
 		w.Header().Set("Retry-After", proxyRetryAfterSeconds)
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, `{"status":"no ready targets"}`+"\n")
+		edge.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no ready targets"})
 		return
 	}
-	_, _ = fmt.Fprintf(w, `{"status":"ready","ready_targets":%d}`+"\n", ready)
+	edge.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "ready_targets": ready})
 }
 
 // handleCluster exposes the membership view and failover deadline for
 // operators and the smoke test.
 func (p *Proxy) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
 	view := map[string]any{
 		"targets":              p.mon.Snapshot(),
 		"ready_targets":        p.mon.ReadyCount(),
@@ -687,5 +663,5 @@ func (p *Proxy) handleCluster(w http.ResponseWriter, r *http.Request) {
 		view["table"] = table
 		view["placement"] = p.ring.Lookup(table, p.opts.Replicas)
 	}
-	_ = json.NewEncoder(w).Encode(view)
+	edge.WriteJSON(w, http.StatusOK, view)
 }

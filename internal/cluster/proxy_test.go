@@ -18,11 +18,19 @@ import (
 
 	"sthist"
 	"sthist/internal/httpapi"
+	"sthist/internal/trace"
 	"sthist/internal/wal"
 )
 
 // newBackend starts an httpapi server with table "orders" registered.
 func newBackend(t *testing.T) (*httpapi.Server, *httptest.Server) {
+	t.Helper()
+	return newTracedBackend(t, nil)
+}
+
+// newTracedBackend is newBackend with tr attached before the handler is
+// built (nil: untraced).
+func newTracedBackend(t *testing.T, tr *trace.Tracer) (*httpapi.Server, *httptest.Server) {
 	t.Helper()
 	tab, err := sthist.NewTable("x", "y")
 	if err != nil {
@@ -40,6 +48,7 @@ func newBackend(t *testing.T) (*httpapi.Server, *httptest.Server) {
 	if err := s.Register("orders", est); err != nil {
 		t.Fatal(err)
 	}
+	s.SetTracer(tr)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -18,8 +19,7 @@ func newTracedCluster(t *testing.T, n int) (*Proxy, *Chaos, []string) {
 	t.Helper()
 	targets := make([]string, n)
 	for i := 0; i < n; i++ {
-		s, ts := newBackend(t)
-		s.SetTracer(trace.New(trace.Options{
+		_, ts := newTracedBackend(t, trace.New(trace.Options{
 			Service: fmt.Sprintf("sthistd:%d", i), SampleRate: 1, Seed: int64(100 + i),
 		}))
 		targets[i] = ts.URL
@@ -200,27 +200,11 @@ func TestProxyRetryTraceHasDeadAndLiveAttempts(t *testing.T) {
 	}
 }
 
-// Malformed /debug/trace/spans parameters are 400; without a tracer the
-// endpoint is 404. Both answer JSON errors.
+// Without a tracer the proxy's spans endpoint is a JSON 404, and the
+// route latency histograms are exposed. The ?trace=/?n= validation matrix
+// both processes share is in internal/edge (TestSpansValidation).
 func TestProxyTraceSpansValidation(t *testing.T) {
 	p, _, _ := newTracedCluster(t, 2)
-	h := p.Handler()
-	for path, want := range map[string]int{
-		"/debug/trace/spans":     http.StatusOK,
-		"/debug/trace/spans?n=3": http.StatusOK,
-		"/debug/trace/spans?trace=aaaabbbbccccdddd0000111122223333": http.StatusOK,
-		"/debug/trace/spans?trace=nope":                             http.StatusBadRequest,
-		"/debug/trace/spans?n=-2":                                   http.StatusBadRequest,
-		"/debug/trace/spans?n=x":                                    http.StatusBadRequest,
-	} {
-		w := getVia(t, h, path)
-		if want >= 400 {
-			assertJSONError(t, "GET "+path, w, want)
-		} else if w.Code != want {
-			t.Errorf("GET %s = %d, want %d", path, w.Code, want)
-		}
-	}
-
 	bare, err := NewProxy(ProxyOptions{Targets: []string{"http://127.0.0.1:1"}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -228,5 +212,59 @@ func TestProxyTraceSpansValidation(t *testing.T) {
 	assertJSONError(t, "untraced proxy spans endpoint", getVia(t, bare.Handler(), "/debug/trace/spans"), http.StatusNotFound)
 	if !strings.Contains(metricsText(t, p), "sthist_proxy_request_duration_seconds") {
 		t.Error("metrics lack sthist_proxy_request_duration_seconds")
+	}
+}
+
+// TestProxyHandlerWrapsRoutes pins the proxy's edge: every route answers a
+// wrong method with a JSON 405, but only the five proxied routes trace as
+// "proxy <route>" and have latency and request series.
+func TestProxyHandlerWrapsRoutes(t *testing.T) {
+	p, _, _ := newTracedCluster(t, 2)
+	h := p.Handler()
+	traced := map[string]string{
+		"/estimate": http.MethodPost, "/feedback": http.MethodPost,
+		"/stats": http.MethodGet, "/tables": http.MethodGet, "/snapshot": http.MethodGet,
+	}
+	bare := map[string]string{
+		"/livez": http.MethodGet, "/readyz": http.MethodGet, "/healthz": http.MethodGet,
+		"/cluster": http.MethodGet, "/debug/trace/spans": http.MethodGet, "/debug/trace/exemplars": http.MethodGet,
+	}
+	for _, routes := range []map[string]string{traced, bare} {
+		for route, method := range routes {
+			wrong := http.MethodPost
+			if method == http.MethodPost {
+				wrong = http.MethodGet
+			}
+			req := httptest.NewRequest(wrong, route, nil)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			assertJSONError(t, wrong+" "+route, w, http.StatusMethodNotAllowed)
+			id := w.Header().Get(trace.TraceIDHeader)
+			_, isTraced := traced[route]
+			if (id != "") != isTraced {
+				t.Errorf("%s %s: trace ID %q, traced route %v", wrong, route, id, isTraced)
+				continue
+			}
+			if isTraced {
+				spans := p.tracer.Spans(id)
+				if len(spans) != 1 || spans[0].Name != "proxy "+route {
+					t.Errorf("%s %s traced as %+v, want one proxy %s span", wrong, route, spans, route)
+				}
+			}
+		}
+	}
+
+	mt := metricsText(t, p)
+	labelled := map[string]bool{}
+	for _, m := range regexp.MustCompile(`sthist_proxy_request_duration_seconds_count\{route="([^"]+)"\}`).FindAllStringSubmatch(mt, -1) {
+		labelled[m[1]] = true
+	}
+	if len(labelled) != len(traced) {
+		t.Errorf("latency series for routes %v, want exactly the proxied routes", labelled)
+	}
+	for route := range traced {
+		if want := fmt.Sprintf(`sthist_proxy_requests_total{code="405",route=%q} 1`, route); !strings.Contains(mt, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
 	}
 }

@@ -84,15 +84,6 @@ func (r Rect) Volume() float64 {
 	return v
 }
 
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	c := make(Point, len(r.Lo))
-	for d := range r.Lo {
-		c[d] = (r.Lo[d] + r.Hi[d]) / 2
-	}
-	return c
-}
-
 // ContainsPoint reports whether p lies inside r (boundaries inclusive).
 func (r Rect) ContainsPoint(p Point) bool {
 	if len(p) != len(r.Lo) {

@@ -29,10 +29,10 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"net/http"
 	"sort"
@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"sthist"
+	"sthist/internal/edge"
 	"sthist/internal/geom"
 	"sthist/internal/telemetry"
 	"sthist/internal/trace"
@@ -68,7 +69,6 @@ type entry struct {
 	backpressure *telemetry.Counter   // feedback rejected with 429; guarded by qmu
 	writerDone   chan struct{}        // closed when writerLoop exits
 	batchMax     int                  // max observations per group commit; immutable after register
-	batchWindow  time.Duration        // straggler wait before a non-full commit; immutable after register
 
 	// Scratch buffers owned by the writer goroutine; reused across batches so
 	// the steady-state commit path stops allocating once warmed.
@@ -104,13 +104,8 @@ type Server struct {
 	tel      *telemetry.Telemetry // guarded by mu
 	tracer   *trace.Tracer        // guarded by mu
 
-	// routeDurs is the per-route latency histogram set, published by
-	// instrumentMiddleware so the exemplar endpoint can enumerate it.
-	routeDurs map[string]*telemetry.Histogram // guarded by mu
-
-	queueDepth  int           // feedback queue depth for tables registered later; guarded by mu
-	batchMax    int           // max observations per group commit; guarded by mu
-	batchWindow time.Duration // straggler wait before a non-full commit; guarded by mu
+	queueDepth int // feedback queue depth for tables registered later; guarded by mu
+	batchMax   int // max observations per group commit; guarded by mu
 }
 
 // NewServer returns an empty server.
@@ -160,12 +155,11 @@ func (s *Server) register(name string, est *sthist.Estimator, l *wal.Log) error 
 		return fmt.Errorf("httpapi: table %q already registered", name)
 	}
 	ent := &entry{
-		est:         est,
-		log:         l,
-		queue:       make(chan *feedbackReq, s.queueDepth),
-		writerDone:  make(chan struct{}),
-		batchMax:    s.batchMax,
-		batchWindow: s.batchWindow,
+		est:        est,
+		log:        l,
+		queue:      make(chan *feedbackReq, s.queueDepth),
+		writerDone: make(chan struct{}),
+		batchMax:   s.batchMax,
 	}
 	s.tables[name] = ent
 	s.wireTelemetryLocked(name, ent)
@@ -178,7 +172,7 @@ func (s *Server) register(name string, est *sthist.Estimator, l *wal.Log) error 
 // (round instruments and the rolling accuracy window) plus structural gauges
 // (bucket count, tree depth, subspace buckets) collected at scrape time, and
 // Handler() additionally mounts GET /metrics and instruments every route
-// with request counters and latency histograms. Call before serving traffic.
+// with request counters and latency histograms. Call before Handler.
 func (s *Server) EnableTelemetry(t *telemetry.Telemetry) {
 	if t == nil {
 		return
@@ -223,6 +217,21 @@ func (s *Server) wireTelemetryLocked(name string, ent *entry) {
 	})
 }
 
+// SetTracer attaches the distributed-tracing plane: every request gets a
+// node-side root span continuing the caller's traceparent (or starting a
+// fresh trace), the feedback pipeline records stage spans (queue wait, WAL
+// append, fsync, apply with the round's detail, drift shadow), and the
+// /debug/trace/spans and /debug/trace/exemplars routes start answering. Call
+// before Handler. A nil tracer is a no-op.
+func (s *Server) SetTracer(tr *trace.Tracer) {
+	if tr == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tracer = tr
+}
+
 // Telemetry returns the attached telemetry plane, or nil.
 func (s *Server) Telemetry() *telemetry.Telemetry {
 	s.mu.RLock()
@@ -261,133 +270,61 @@ func (s *Server) readiness() string {
 // soon rather than back off for minutes.
 const drainRetryAfterSeconds = "1"
 
-// Handler returns the HTTP handler with all routes mounted, wrapped in
-// panic-recovery middleware: a panic that escapes a handler is answered
-// with 500 instead of unwinding the whole server. (Estimator panics are
-// additionally caught per-table and quarantine the estimator — see
-// entry.estimate and entry.applyBatchLocked.)
+// Handler returns the HTTP handler with every route behind the request edge
+// (internal/edge): a wrong method is a JSON 405; with a tracer attached each
+// request gets a "node <route>" root span continuing the caller's
+// traceparent; with telemetry, per-route latency and request counts by
+// route and code are recorded and GET /metrics is mounted; and a panic that
+// escapes a handler is answered with 500 instead of unwinding the whole
+// server. (Estimator panics are additionally caught per-table and
+// quarantine the estimator — see entry.estimate and
+// entry.applyBatchLocked.) The tracer and the telemetry plane are read once,
+// here, so SetTracer and EnableTelemetry must come first.
 func (s *Server) Handler() http.Handler {
+	s.mu.RLock()
+	tel, tr := s.tel, s.tracer
+	s.mu.RUnlock()
+	e := edge.New("node", tr, requestMetrics(tel))
 	mux := http.NewServeMux()
-	mux.HandleFunc("/tables", s.handleTables)
-	mux.HandleFunc("/estimate", s.handleEstimate)
-	mux.HandleFunc("/feedback", s.handleFeedback)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/livez", s.handleLivez)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
+	e.Handle(mux, "/tables", http.MethodGet, s.handleTables)
+	e.Handle(mux, "/estimate", http.MethodPost, s.handleEstimate)
+	e.Handle(mux, "/feedback", http.MethodPost, s.handleFeedback)
+	e.Handle(mux, "/stats", http.MethodGet, s.handleStats)
+	e.Handle(mux, "/healthz", http.MethodGet, s.handleHealthz)
+	e.Handle(mux, "/livez", http.MethodGet, s.handleLivez)
+	e.Handle(mux, "/readyz", http.MethodGet, s.handleReadyz)
+	e.Handle(mux, "/snapshot", http.MethodGet, s.handleSnapshot)
 	// The span endpoints are always mounted (they answer 404 until a tracer
 	// is attached) so debug tooling has one stable URL space.
-	mux.HandleFunc("/debug/trace/spans", s.handleTraceSpans)
-	mux.HandleFunc("/debug/trace/exemplars", s.handleTraceExemplars)
-	var h http.Handler = mux
-	if tel := s.Telemetry(); tel != nil {
-		mux.Handle("/metrics", tel.MetricsHandler())
-		h = s.instrumentMiddleware(tel, h)
+	e.Handle(mux, "/debug/trace/spans", http.MethodGet, edge.Spans(tr,
+		func(_ context.Context, id string) []trace.SpanData { return tr.Spans(id) }))
+	e.Handle(mux, "/debug/trace/exemplars", http.MethodGet, e.Exemplars)
+	if tel != nil {
+		e.Handle(mux, "/metrics", http.MethodGet, tel.MetricsHandler().ServeHTTP)
 	}
-	// Tracing wraps instrumentation so the route middleware sees the span in
-	// the request context and can stamp latency exemplars with its trace ID.
-	h = s.traceMiddleware(h)
-	return recoverMiddleware(h)
+	// Every other path counts and traces as one route, bounding the label
+	// cardinality.
+	mux.Handle("/", e.Wrap(edge.Other, "", http.NotFound))
+	return mux
 }
 
-// instrumentedRoutes is the fixed label set of the HTTP metrics; anything
-// else (404s, probes) is folded into "other" so scrapes cannot explode the
-// label cardinality.
-var instrumentedRoutes = map[string]bool{
-	"/tables": true, "/estimate": true, "/feedback": true,
-	"/stats": true, "/healthz": true, "/metrics": true,
-	"/livez": true, "/readyz": true, "/snapshot": true,
-	"/debug/trace/spans": true, "/debug/trace/exemplars": true,
-}
-
-// statusWriter captures the response code for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrumentedCodes is the status-code set whose request counters are minted
-// at construction, so the serving hot path never takes the registry mutex or
-// renders a label string. Anything else (rare codes) falls back to the
-// registry's own locked, idempotent lookup.
-var instrumentedCodes = []int{
-	http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
-	http.StatusMethodNotAllowed, http.StatusTooManyRequests,
-	http.StatusInternalServerError, http.StatusServiceUnavailable,
-}
-
-const httpRequestsHelp = "HTTP requests by route and status code."
-
-// instrumentMiddleware counts requests by route and status code and records
-// per-route latency.
-func (s *Server) instrumentMiddleware(tel *telemetry.Telemetry, next http.Handler) http.Handler {
+// requestMetrics mints the node's HTTP instruments, or returns nil without
+// telemetry.
+func requestMetrics(tel *telemetry.Telemetry) *edge.Metrics {
+	if tel == nil {
+		return nil
+	}
 	reg := tel.Registry()
-	routes := make([]string, 0, len(instrumentedRoutes)+1)
-	for route := range instrumentedRoutes {
-		routes = append(routes, route)
+	return &edge.Metrics{
+		Duration: func(route string) *telemetry.Histogram {
+			return reg.Histogram("sthist_http_request_duration_seconds",
+				"HTTP request latency by route.", telemetry.LatencyBuckets(), telemetry.L("route", route))
+		},
+		Requests: func(route string, code int) *telemetry.Counter {
+			return reg.Counter("sthist_http_requests_total",
+				"HTTP requests by route and status code.", edge.Labels(route, code))
+		},
 	}
-	routes = append(routes, "other")
-	durs := make(map[string]*telemetry.Histogram, len(routes))
-	type routeCode struct {
-		route string
-		code  int
-	}
-	// Read-only after construction, so steady-state lookups are lock-free.
-	counters := make(map[routeCode]*telemetry.Counter, len(routes)*len(instrumentedCodes))
-	for _, route := range routes {
-		durs[route] = reg.Histogram("sthist_http_request_duration_seconds",
-			"HTTP request latency by route.", telemetry.LatencyBuckets(), telemetry.L("route", route))
-		for _, code := range instrumentedCodes {
-			counters[routeCode{route, code}] = reg.Counter("sthist_http_requests_total", httpRequestsHelp,
-				telemetry.Labels{{Key: "route", Value: route}, {Key: "code", Value: strconv.Itoa(code)}})
-		}
-	}
-	s.mu.Lock()
-	s.routeDurs = durs
-	s.mu.Unlock()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := r.URL.Path
-		if !instrumentedRoutes[route] {
-			route = "other"
-		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		d := time.Since(start)
-		// A retained trace's ID rides the latency histogram as an exemplar,
-		// linking a bad bucket to a concrete /debug/trace/spans lookup.
-		if sp := trace.FromContext(r.Context()); exemplarKeep(s.Tracer(), sp, sw.code, d) {
-			durs[route].ObserveEx(d.Seconds(), sp.TraceID())
-		} else {
-			durs[route].Observe(d.Seconds())
-		}
-		c := counters[routeCode{route, sw.code}]
-		if c == nil {
-			c = reg.Counter("sthist_http_requests_total", httpRequestsHelp,
-				telemetry.Labels{{Key: "route", Value: route}, {Key: "code", Value: strconv.Itoa(sw.code)}})
-		}
-		c.Inc()
-	})
-}
-
-// recoverMiddleware converts an escaped panic into a 500 response.
-func recoverMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				log.Printf("httpapi: panic serving %s %s: %v", r.Method, r.URL.Path, p)
-				// The handler may have written already; this is best-effort.
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error"))
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
 }
 
 func (s *Server) lookup(name string) (*entry, error) {
@@ -400,21 +337,7 @@ func (s *Server) lookup(name string) (*entry, error) {
 	return ent, nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) // client gone: nothing useful to do
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	s.mu.RLock()
 	names := make([]string, 0, len(s.tables))
 	for n := range s.tables {
@@ -422,7 +345,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Strings(names)
-	writeJSON(w, http.StatusOK, names)
+	edge.WriteJSON(w, http.StatusOK, names)
 }
 
 // queryRequest is the shared body of /estimate and /feedback.
@@ -462,13 +385,9 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (*entry, ge
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
 	ent, q, _, err := s.decodeQuery(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	start := time.Now()
@@ -483,10 +402,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		sp.Event("estimate.compute", start, d, errMsg)
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		edge.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{
+	edge.WriteJSON(w, http.StatusOK, map[string]float64{
 		"estimate":    est,
 		"selectivity": sel,
 	})
@@ -504,35 +423,32 @@ func (e *entry) estimate(q geom.Rect) (est, sel float64, err error) {
 			err = fmt.Errorf("estimate failed; table degraded to last good snapshot")
 		}
 	}()
-	return e.est.Estimate(q), e.est.Selectivity(q), nil
+	est, sel = e.est.EstimateSelectivity(q)
+	return est, sel, nil
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
 	ent, q, req, err := s.decodeQuery(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Actual == nil {
 		ent.rec.RecordRejected()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("feedback needs an \"actual\" row count"))
+		edge.WriteError(w, http.StatusBadRequest, "feedback needs an \"actual\" row count")
 		return
 	}
 	actual := *req.Actual
 	if math.IsNaN(actual) || math.IsInf(actual, 0) || actual < 0 {
 		ent.rec.RecordRejected()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("feedback \"actual\" must be finite and non-negative, got %g", actual))
+		edge.WriteError(w, http.StatusBadRequest, fmt.Sprintf("feedback \"actual\" must be finite and non-negative, got %g", actual))
 		return
 	}
 	// Full validation (domain overlap etc.) before the record is logged:
 	// the WAL must only ever contain replayable feedback.
 	if err := ent.est.ValidateFeedback(q, actual); err != nil {
 		ent.rec.RecordRejected()
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	seq, err := ent.enqueue(q, actual, trace.FromContext(r.Context()))
@@ -542,24 +458,24 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		// The queue drains at group-commit speed; a second is a generous
 		// upper bound for a full queue to clear.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
+		edge.WriteError(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.Is(err, errTableDraining):
 		// Like the 429 path, tell well-behaved clients when to come back:
 		// a drain either finishes (the node exits; they reroute) or the
 		// node returns to readiness shortly.
 		w.Header().Set("Retry-After", drainRetryAfterSeconds)
-		writeError(w, http.StatusServiceUnavailable, err)
+		edge.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		edge.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp := map[string]any{"ok": true}
 	if seq > 0 {
 		resp["seq"] = seq
 	}
-	writeJSON(w, http.StatusOK, resp)
+	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Checkpoint snapshots the named table's histogram and rotates its WAL.
@@ -672,13 +588,9 @@ func (e *entry) walStats() walStats {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	ent, err := s.lookup(r.URL.Query().Get("table"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// StatsSnapshot copies the counters under the estimator's read lock;
@@ -687,7 +599,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// The domain lets clients (cmd/sthload, dashboards) generate valid
 	// queries without out-of-band schema knowledge.
 	dom := ent.est.Domain()
-	writeJSON(w, http.StatusOK, map[string]any{
+	edge.WriteJSON(w, http.StatusOK, map[string]any{
 		"domain":               map[string][]float64{"lo": dom.Lo, "hi": dom.Hi},
 		"buckets":              st.Buckets,
 		"max_buckets":          st.MaxBuckets,
@@ -711,10 +623,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // /readyz; liveness checks use /livez — a node that is live but not ready
 // (warming a shipped snapshot, draining) answers 200 there and 503 here.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	status := http.StatusOK
 	overall := "ok"
 	if rd := s.readiness(); rd != "ready" {
@@ -738,7 +646,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		tables[name] = th
 	}
-	writeJSON(w, status, map[string]any{"status": overall, "live": true, "tables": tables})
+	edge.WriteJSON(w, status, map[string]any{"status": overall, "live": true, "tables": tables})
 }
 
 // handleLivez is the liveness probe: 200 whenever the process can serve
@@ -746,11 +654,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // degradation — restarting a node because it is draining would turn every
 // graceful shutdown into a crash loop.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "live"})
+	edge.WriteJSON(w, http.StatusOK, map[string]any{"status": "live"})
 }
 
 // handleReadyz is the routing probe: 200 only when the node should receive
@@ -758,17 +662,13 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 // a shipped snapshot) both answer 503 + Retry-After so the proxy tier routes
 // around the node while /livez still reports it alive.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	rd := s.readiness()
 	if rd != "ready" {
 		w.Header().Set("Retry-After", drainRetryAfterSeconds)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": rd})
+		edge.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": rd})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": rd})
+	edge.WriteJSON(w, http.StatusOK, map[string]any{"status": rd})
 }
 
 // handleSnapshot ships the table's durable state (checkpoint MANIFEST +
@@ -777,22 +677,18 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // -warm-from). Tables without durability have no portable state to ship and
 // answer 404.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	ent, err := s.lookup(r.URL.Query().Get("table"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	data, lastSeq, err := ent.shipArchive()
 	switch {
 	case errors.Is(err, errNotDurable):
-		writeError(w, http.StatusNotFound, err)
+		edge.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		edge.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -191,6 +191,7 @@ func TestStatsEndpoint(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	_, ts := newTestServer(t)
+	const rows = 2200 // newTestServer's table
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -203,10 +204,20 @@ func TestConcurrentClients(t *testing.T) {
 					"hi":    []float64{float64(i%900) + 50, float64(i%900) + 50},
 				}
 				if g%2 == 0 {
-					resp, _ := post(t, ts.URL+"/estimate", body)
+					resp, out := post(t, ts.URL+"/estimate", body)
 					if resp.StatusCode != http.StatusOK {
 						t.Errorf("estimate status %d", resp.StatusCode)
 						return
+					}
+					// Both numbers come from one walk of one snapshot, even
+					// while feedback publishes new ones.
+					var est, sel float64
+					if json.Unmarshal(out["estimate"], &est) != nil || json.Unmarshal(out["selectivity"], &sel) != nil {
+						t.Errorf("estimate reply %v", out)
+						return
+					}
+					if sel != est/rows {
+						t.Errorf("selectivity %v != estimate %v / %v rows", sel, est, rows)
 					}
 				} else {
 					body["actual"] = float64(i)

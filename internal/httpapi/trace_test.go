@@ -3,12 +3,15 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -299,29 +302,73 @@ func TestWALStageErrorMarking(t *testing.T) {
 	}
 }
 
-func TestTraceSpansEndpointValidation(t *testing.T) {
+// TestHandlerWrapsRoutes pins the node's edge: every route it serves, and
+// only those, answers a wrong method with a JSON 405, traces as
+// "node <route>" and has its own latency and request series; any other
+// path counts and traces as "other".
+func TestHandlerWrapsRoutes(t *testing.T) {
 	_, ts, _ := newTracedServer(t)
-	cases := []struct {
-		url  string
-		code int
-	}{
-		{"/debug/trace/spans", http.StatusOK},
-		{"/debug/trace/spans?n=5", http.StatusOK},
-		{"/debug/trace/spans?trace=0123456789abcdef0123456789abcdef", http.StatusOK},
-		{"/debug/trace/spans?trace=XYZ", http.StatusBadRequest},
-		{"/debug/trace/spans?trace=0123", http.StatusBadRequest},
-		{"/debug/trace/spans?n=-1", http.StatusBadRequest},
-		{"/debug/trace/spans?n=abc", http.StatusBadRequest},
+	routes := map[string]string{
+		"/tables": http.MethodGet, "/estimate": http.MethodPost, "/feedback": http.MethodPost,
+		"/stats": http.MethodGet, "/healthz": http.MethodGet, "/livez": http.MethodGet,
+		"/readyz": http.MethodGet, "/snapshot": http.MethodGet, "/metrics": http.MethodGet,
+		"/debug/trace/spans": http.MethodGet, "/debug/trace/exemplars": http.MethodGet,
 	}
-	for _, c := range cases {
-		resp, err := http.Get(ts.URL + c.url)
+	// serve sends one bodiless request and returns its status and the name
+	// of its retained node root span.
+	serve := func(method, path string) (int, string) {
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != c.code {
-			t.Errorf("GET %s = %d, want %d", c.url, resp.StatusCode, c.code)
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode == http.StatusMethodNotAllowed && ct != "application/json" {
+			t.Errorf("%s %s: 405 Content-Type %q, want application/json", method, path, ct)
 		}
+		for _, sd := range getSpans(t, ts.URL, resp.Header.Get(trace.TraceIDHeader)) {
+			if sd.ParentID == "" {
+				return resp.StatusCode, sd.Name
+			}
+		}
+		return resp.StatusCode, ""
+	}
+	for route, method := range routes {
+		wrong := http.MethodPost
+		if method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		if code, span := serve(wrong, route); code != http.StatusMethodNotAllowed || span != "node "+route {
+			t.Errorf("%s %s = %d traced as %q, want 405 traced as %q", wrong, route, code, span, "node "+route)
+		}
+	}
+	for _, path := range []string{"/nope", "/debug/trace"} {
+		if code, span := serve(http.MethodGet, path); code != http.StatusNotFound || span != "node other" {
+			t.Errorf("GET %s = %d traced as %q, want 404 traced as \"node other\"", path, code, span)
+		}
+	}
+
+	_, body := getBody(t, ts.URL+"/metrics")
+	labelled := map[string]bool{}
+	for _, m := range regexp.MustCompile(`sthist_http_request_duration_seconds_count\{route="([^"]+)"\}`).FindAllStringSubmatch(body, -1) {
+		labelled[m[1]] = true
+	}
+	if len(labelled) != len(routes)+1 || !labelled["other"] {
+		t.Errorf("latency series for routes %v, want the %d served routes plus other", labelled, len(routes))
+	}
+	for route := range routes {
+		if !labelled[route] {
+			t.Errorf("no latency series for %s", route)
+		}
+		if want := fmt.Sprintf(`sthist_http_requests_total{code="405",route=%q} 1`, route); !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	if want := `sthist_http_requests_total{code="404",route="other"} 2`; !strings.Contains(body, want) {
+		t.Errorf("/metrics lacks %s", want)
 	}
 }
 

@@ -61,20 +61,11 @@ func (s *Server) SetFeedbackQueue(depth, batchMax int) {
 	}
 }
 
-// SetBatchWindow sets how long a table's writer waits for stragglers before
-// committing a non-full batch, for tables registered afterwards. Zero (the
-// default) commits whatever has queued by the time the writer is free —
-// batching then comes purely from natural arrival pressure, and an idle
-// table commits each observation with single-record latency. A positive
-// window trades that latency for larger batches (fewer fsyncs) under light
-// concurrency.
-func (s *Server) SetBatchWindow(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d >= 0 {
-		s.batchWindow = d
-	}
-}
+// SetBatchWindow does nothing: a table's writer commits whatever has queued
+// by the time it is free, so batching comes from arrival pressure alone.
+//
+// Deprecated: no window is configurable; the call can be deleted.
+func (s *Server) SetBatchWindow(time.Duration) {}
 
 // DrainFeedback stops accepting feedback and blocks until every queued
 // observation has been committed (WAL-appended, applied, and acknowledged)
@@ -162,26 +153,10 @@ func (e *entry) writerLoop() {
 	}
 }
 
-// gatherBatch greedily drains queued requests into batch up to batchMax.
-// With a positive batch window it also waits up to the window for stragglers
-// before settling for a smaller batch.
+// gatherBatch greedily drains queued requests into batch up to batchMax,
+// without waiting for stragglers: an idle table commits each observation
+// with single-record latency.
 func (e *entry) gatherBatch(batch []*feedbackReq) []*feedbackReq {
-	if e.batchWindow <= 0 {
-		for len(batch) < e.batchMax {
-			select {
-			case r, ok := <-e.queue:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, r)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(e.batchWindow)
-	defer timer.Stop()
 	for len(batch) < e.batchMax {
 		select {
 		case r, ok := <-e.queue:
@@ -189,7 +164,7 @@ func (e *entry) gatherBatch(batch []*feedbackReq) []*feedbackReq {
 				return batch
 			}
 			batch = append(batch, r)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}

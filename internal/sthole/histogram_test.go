@@ -2,7 +2,6 @@ package sthole
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -301,27 +300,6 @@ func TestFrozen(t *testing.T) {
 	h.Drill(rect2(0, 0, 5, 5), func(geom.Rect) float64 { return 10 })
 	if h.BucketCount() != 1 {
 		t.Error("unfrozen histogram did not learn")
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	h := MustNew(rect2(0, 0, 10, 10), 5, 50)
-	mid := h.addChild(h.root, rect2(2, 2, 8, 8), 20)
-	h.addChild(mid, rect2(4, 4, 6, 6), 30)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		t.Fatal(err)
-	}
-	var back Histogram
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	if back.BucketCount() != 2 {
-		t.Errorf("gob round trip count = %d", back.BucketCount())
-	}
-	q := rect2(1, 1, 9, 9)
-	if a, b := h.Estimate(q), back.Estimate(q); math.Abs(a-b) > 1e-9 {
-		t.Errorf("estimate mismatch after gob round trip: %g vs %g", a, b)
 	}
 }
 

@@ -174,13 +174,6 @@ func (h *Histogram) numberBuckets(withSeq int) error {
 	return nil
 }
 
-// GobEncode implements gob.GobEncoder via the JSON form, so histograms can
-// be persisted with encoding/gob despite their unexported tree fields.
-func (h *Histogram) GobEncode() ([]byte, error) { return h.MarshalJSON() }
-
-// GobDecode implements gob.GobDecoder.
-func (h *Histogram) GobDecode(data []byte) error { return h.UnmarshalJSON(data) }
-
 // copySubtree deep-copies b's subtree: fresh boxes, fresh child slices,
 // frequencies and sequence numbers preserved.
 func copySubtree(b *Bucket) *Bucket {

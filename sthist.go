@@ -328,11 +328,19 @@ func (e *Estimator) Estimate(q Rect) float64 {
 // Selectivity returns Estimate(q) divided by the total tuple count, or 0
 // when the estimator holds no tuples (instead of NaN). Wait-free.
 func (e *Estimator) Selectivity(q Rect) float64 {
-	total := float64(e.idx.Total())
-	if total <= 0 {
-		return 0
+	_, sel := e.EstimateSelectivity(q)
+	return sel
+}
+
+// EstimateSelectivity returns Estimate(q) and Selectivity(q) from one walk
+// of one snapshot, so the pair agrees even while feedback publishes new
+// snapshots. Wait-free.
+func (e *Estimator) EstimateSelectivity(q Rect) (est, sel float64) {
+	est = e.Estimate(q)
+	if total := float64(e.idx.Total()); total > 0 {
+		sel = est / total
 	}
-	return e.Estimate(q) / total
+	return est, sel
 }
 
 // ValidateFeedback checks a feedback observation without applying it: the
