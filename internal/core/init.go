@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"sthist/internal/dataset"
 	"sthist/internal/geom"
 	"sthist/internal/mineclus"
 	"sthist/internal/sthole"
@@ -177,22 +176,4 @@ func (m *clusterModel) count(r geom.Rect) float64 {
 		sum += m.tuples[i] * box.IntersectionVolume(r) / box.Volume()
 	}
 	return sum
-}
-
-// BuildInitialized runs the full pipeline: MineClus over the table, then a
-// fresh histogram initialized with the clusters. It returns the histogram
-// and the clusters (in descending importance order) for inspection.
-func BuildInitialized(tab *dataset.Table, domain geom.Rect, maxBuckets int, mcfg mineclus.Config, opts Options) (*sthole.Histogram, []mineclus.Cluster, error) {
-	clusters, err := mineclus.Run(tab, mcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	h, err := sthole.New(domain, maxBuckets, float64(tab.Len()))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := Initialize(h, clusters, domain, opts); err != nil {
-		return nil, nil, err
-	}
-	return h, clusters, nil
 }

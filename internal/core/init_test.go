@@ -47,12 +47,16 @@ func TestInitializeSeedsBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	mcfg := mineclus.Config{Alpha: 0.05, Beta: 0.25, Width: 30, MedoidSamples: 20, Seed: 1}
-	h, clusters, err := BuildInitialized(ds.Table, ds.Domain, 50, mcfg, Options{})
+	clusters, err := mineclus.Run(ds.Table, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(clusters) == 0 {
 		t.Fatal("no clusters found")
+	}
+	h := sthole.MustNew(ds.Domain, 50, float64(ds.Table.Len()))
+	if err := Initialize(h, clusters, ds.Domain, Options{}); err != nil {
+		t.Fatal(err)
 	}
 	if h.BucketCount() == 0 {
 		t.Fatal("initialization created no buckets")

@@ -256,6 +256,9 @@ func TestRunSubsampledTransactions(t *testing.T) {
 //     every round mines a subsample;
 //   - particle: ParticleSim(0.01), 50,000 rows by 18 dimensions;
 //   - cross5d: CrossN(5, 0.05), 675,000 rows.
+//
+// The cover pass runs on the AVX-512F kernel where the CPU has it and in Go
+// elsewhere, so the numbers of the two hosts do not compare.
 func BenchmarkRun(b *testing.B) {
 	for _, c := range []struct {
 		name string

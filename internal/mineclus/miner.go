@@ -57,7 +57,8 @@ type level struct {
 // column by column, as keyOf keys) around medoid: bit i of dimension d's
 // cover is set iff |q_d - p_d| <= w_d for point i, the comparison cluster
 // membership uses. The points passing it form one run of keys (keyWindow),
-// so each point costs one unsigned range test.
+// so each point costs one unsigned range test: windowWords tests the full
+// 64-point words, windowBits the partial last one.
 func (m *miner) cover(txKeys [][]uint64, medoid []float64, cfg *Config) {
 	m.words = (len(txKeys[0]) + 63) / 64
 	m.covers = slices.Grow(m.covers[:0], len(txKeys)*m.words)[:len(txKeys)*m.words]
@@ -68,9 +69,19 @@ func (m *miner) cover(txKeys [][]uint64, medoid []float64, cfg *Config) {
 			clear(cov)
 			continue
 		}
-		for k := range cov {
-			cov[k] = windowBits(keys[k*64:min(len(keys), k*64+64)], lo, span)
+		full := len(keys) / 64
+		windowWords(cov[:full], keys, lo, span)
+		if full < len(cov) {
+			cov[full] = windowBits(keys[full*64:], lo, span)
 		}
+	}
+}
+
+// windowWordsGo is windowWords's Go body, and the oracle its AVX-512F
+// kernel is tested against.
+func windowWordsGo(dst, keys []uint64, lo, span uint64) {
+	for k := range dst {
+		dst[k] = windowBits(keys[k*64:k*64+64], lo, span)
 	}
 }
 
@@ -136,7 +147,12 @@ func valueOf(k uint64) float64 {
 // The run contains p when p is finite. An infinite p admits at most the
 // values short of it (all of them, and only for an infinite w), so the
 // largest finite value of p's sign anchors the search instead. Each bound is
-// a binary search of the predicate itself over the keys of [-Inf, +Inf].
+// a binary search of the predicate itself: over the few keys bracket returns
+// around keyOf(p-w) or keyOf(p+w) when the predicate confirms the flip lies
+// among them (it fails on the key just outside the bracket and holds on the
+// bracket's inner end), and over the keys of [-Inf, +Inf] otherwise. The
+// keys just outside keyOf(±Inf) are NaNs', on which the predicate fails, so
+// a bracket clamped to an end needs no special case.
 func keyWindow(p, w float64) (lo, span uint64, ok bool) {
 	inside := func(k uint64) bool { return math.Abs(valueOf(k)-p) <= w }
 	anchor := keyOf(max(-math.MaxFloat64, min(p, math.MaxFloat64)))
@@ -144,6 +160,9 @@ func keyWindow(p, w float64) (lo, span uint64, ok bool) {
 		return 0, 0, false
 	}
 	a, b := keyOf(math.Inf(-1)), anchor // the first inside key is in [a, b]
+	if x, y := bracket(keyOf(p-w), a, b); !inside(x-1) && inside(y) {
+		a, b = x, y
+	}
 	for a < b {
 		if mid := a + (b-a)/2; inside(mid) {
 			b = mid
@@ -153,6 +172,9 @@ func keyWindow(p, w float64) (lo, span uint64, ok bool) {
 	}
 	lo = a
 	a, b = anchor, keyOf(math.Inf(1)) // the last inside key is in [a, b]
+	if x, y := bracket(keyOf(p+w), a, b); inside(x) && !inside(y+1) {
+		a, b = x, y
+	}
 	for a < b {
 		if mid := b - (b-a)/2; inside(mid) {
 			a = mid
@@ -161,6 +183,26 @@ func keyWindow(p, w float64) (lo, span uint64, ok bool) {
 		}
 	}
 	return lo, a - lo, true
+}
+
+// bracketReach is how many keys on each side of its guess bracket spans.
+// Over random medoids and widths, the rounded comparison |v - p| <= w flipped
+// within one key of keyOf(p∓w) in 99% of cases and within four in 99.7%; it
+// flips far away when p∓w cancels to far below w.
+const bracketReach = 4
+
+// bracket returns the first and last key of [a, b] within bracketReach of
+// g, once g is clamped to [a, b].
+func bracket(g, a, b uint64) (x, y uint64) {
+	g = max(a, min(g, b))
+	x, y = a, b
+	if g-a > bracketReach {
+		x = g - bracketReach
+	}
+	if b-g > bracketReach {
+		y = g + bracketReach
+	}
+	return x, y
 }
 
 // mine returns the itemset over the first dims covers maximizing

@@ -349,13 +349,18 @@ func TestQuickMinerMatchesFPGrowth(t *testing.T) {
 
 // TestCoverMatchesPredicate: bit i of dimension d's cover is set exactly when
 // |q_d - p_d| <= w_d, on infinite coordinates too, and a reused miner keeps
-// no bit of an earlier trial.
+// no bit of an earlier trial. The last 30 trials take several full words,
+// half of them with a partial last word, so windowWords and windowBits both
+// set bits.
 func TestCoverMatchesPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m := &miner{}
 	specials := []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e308, -1e308}
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		dims, points := 1+rng.Intn(4), 1+rng.Intn(200)
+		if trial >= 50 {
+			points = 64*(1+rng.Intn(8)) + trial%2*(1+rng.Intn(63))
+		}
 		pick := func() float64 {
 			if rng.Intn(8) == 0 {
 				return specials[rng.Intn(len(specials))]

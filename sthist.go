@@ -93,7 +93,8 @@ type Options struct {
 	// Buckets is the histogram budget (non-root buckets). Default 100.
 	Buckets int
 	// Domain optionally overrides the estimation domain; when zero-valued,
-	// the table's bounding box is used.
+	// the table's bounding box is used. It must have the table's
+	// dimensionality.
 	Domain Rect
 	// SkipInitialization disables the subspace-clustering seeding and
 	// yields a plain (uninitialized) STHoles histogram.
@@ -234,6 +235,9 @@ type Health struct {
 func Open(tab *Table, opts Options) (*Estimator, error) {
 	if tab.Len() == 0 {
 		return nil, fmt.Errorf("sthist: empty table")
+	}
+	if d := opts.Domain.Dims(); d != 0 && d != tab.Dims() {
+		return nil, fmt.Errorf("sthist: domain has %d dimensions, table has %d", d, tab.Dims())
 	}
 	if opts.Buckets == 0 {
 		opts.Buckets = 100
@@ -377,19 +381,27 @@ func (e *Estimator) Feedback(q Rect, actual float64) error {
 		e.rec.RecordRejected()
 		return err
 	}
-	vol := q.Volume()
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	changed, err := e.drillLocked(q, func(r Rect) float64 {
-		if vol <= 0 {
-			return actual
-		}
-		return actual * q.IntersectionVolume(r) / vol
-	}, actual, true, nil)
+	changed, err := e.drillLocked(q, uniformSplit(q, actual), actual, true, nil)
 	if changed {
 		e.publishLocked()
 	}
 	return err
+}
+
+// uniformSplit is the count function scalar feedback drills with: it
+// spreads the observed actual over q uniformly, actual · vol(q∩r)/vol(q),
+// and gives all of it to every r when q has no volume. It inlines, so the
+// closure stays on the caller's stack.
+func uniformSplit(q Rect, actual float64) sthole.CountFunc {
+	vol := q.Volume()
+	return func(r Rect) float64 {
+		if vol <= 0 {
+			return actual
+		}
+		return actual * q.IntersectionVolume(r) / vol
+	}
 }
 
 // FeedbackWith refines the histogram with exact sub-rectangle counts from an
@@ -447,13 +459,7 @@ func (e *Estimator) FeedbackBatch(obs []Observation) []error {
 			errs[i] = err
 			continue
 		}
-		vol := q.Volume()
-		ch, err := e.drillLocked(q, func(r Rect) float64 {
-			if vol <= 0 {
-				return actual
-			}
-			return actual * q.IntersectionVolume(r) / vol
-		}, actual, true, obs[i].Round)
+		ch, err := e.drillLocked(q, uniformSplit(q, actual), actual, true, obs[i].Round)
 		changed = changed || ch
 		errs[i] = err
 	}

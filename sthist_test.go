@@ -2,6 +2,7 @@ package sthist
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -32,6 +33,29 @@ func TestOpenValidation(t *testing.T) {
 	tab, _ := NewTable("x")
 	if _, err := Open(tab, Options{}); err == nil {
 		t.Error("empty table accepted")
+	}
+	// A domain of another dimensionality than the table's is rejected, with
+	// or without clustering, by an error naming both.
+	tab = clusteredTable(t)
+	for _, lo := range [][]float64{{0}, {0, 0, 0}} {
+		hi := make([]float64, len(lo))
+		for d := range hi {
+			hi[d] = 1000
+		}
+		domain, err := NewRect(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, skip := range []bool{true, false} {
+			_, err := Open(tab, Options{Domain: domain, SkipInitialization: skip})
+			if err == nil {
+				t.Errorf("%d-d domain over a 2-d table accepted (SkipInitialization %v)", len(lo), skip)
+				continue
+			}
+			if want := fmt.Sprintf("domain has %d dimensions, table has 2", len(lo)); !strings.Contains(err.Error(), want) {
+				t.Errorf("%d-d domain (SkipInitialization %v): error %q does not say %q", len(lo), skip, err, want)
+			}
+		}
 	}
 }
 
