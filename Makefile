@@ -42,23 +42,27 @@ bench:
 	$(GO) test -bench . -benchmem ./internal/experiment/... ./cmd/...
 
 # Micro-benchmarks: sthole drill/estimate/merge hot loops, the geom kernels
-# backing them, and a MineClus run on the end-to-end benchmark's sky table.
+# backing them, a MineClus run on the end-to-end benchmark's sky table, and
+# the k-d tree's build and range count.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sthole/... ./internal/geom/... ./internal/mineclus/...
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sthole/... ./internal/geom/... ./internal/mineclus/... ./internal/index/...
 
 # The end-to-end benchmark (bench/) is a module of its own, so the root's
 # vet and tests do not reach it; this vets it and runs its smoke test.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Records the sthole micro-benchmarks in results/BENCH_sthole.json and the
-# MineClus BenchmarkRun shapes in results/BENCH_mineclus.json under the
-# "current" label (pass LABEL=baseline before a change to stash a baseline).
+# Records the sthole micro-benchmarks in results/BENCH_sthole.json, the
+# MineClus BenchmarkRun shapes in results/BENCH_mineclus.json and the k-d
+# tree's build and count in results/BENCH_index.json under the "current"
+# label (pass LABEL=baseline before a change to stash a baseline).
 LABEL ?= current
 bench-json:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_sthole.json
 	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_mineclus.json \
 		-pkg ./internal/mineclus -bench 'BenchmarkRun$$' -benchtime 3x -count 3
+	$(GO) run ./cmd/benchjson -label $(LABEL) -out results/BENCH_index.json \
+		-pkg ./internal/index -bench 'Benchmark(BuildKDTree|KDTreeCount)$$' -count 3
 
 # Telemetry overhead guard: the instrumented feedback round must stay within
 # 5% of the uninstrumented one on the Drill@250 workload. benchjson keeps the

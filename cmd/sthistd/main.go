@@ -60,6 +60,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -119,6 +120,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sthistd:", err)
 		os.Exit(1)
 	}
+	// The pacer's next heap goal is twice what the last collection left
+	// live. Set-up's last collection can run while its temporaries, such as
+	// MineClus's buffers, are still live, and serving would then fill twice
+	// that. Collecting once here bases the goal on what serving keeps.
+	runtime.GC()
 	if err := d.run(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "sthistd:", err)
 		os.Exit(1)

@@ -18,7 +18,14 @@ import (
 )
 
 func TestSetupValidation(t *testing.T) {
+	// A table holding an infinite value would open into a histogram that
+	// estimates 0.
+	infPath := filepath.Join(t.TempDir(), "inf.csv")
+	if err := os.WriteFile(infPath, []byte("a,b\n1,2\n3,4\n5,Inf\n7,8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string][]string{
+		"infinite-value":   {"-table", "inf=" + infPath},
 		"no-tables":        nil,
 		"spec-without-eq":  {"-table", "bad"},
 		"empty-name":       {"-table", "=x"},

@@ -96,23 +96,32 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 8)
+	// Columns are read binaryChunk values at a time. Capacities taken from
+	// the untrusted header are capped, so a corrupt row count fails on the
+	// missing data instead of allocating for it.
+	buf := make([]byte, 8*min64(rows, binaryChunk))
 	for d := 0; d < int(dims); d++ {
 		col := make([]float64, 0, min64(rows, 1<<20))
-		for i := uint64(0); i < rows; i++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("dataset: reading column %q row %d: %w", names[d], i, err)
+		for i := uint64(0); i < rows; {
+			chunk := buf[:8*min64(rows-i, binaryChunk)]
+			if k, err := io.ReadFull(br, chunk); err != nil {
+				return nil, fmt.Errorf("dataset: reading column %q row %d: %w", names[d], i+uint64(k/8), err)
 			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("dataset: NaN in column %q row %d", names[d], i)
+			for j := 0; j < len(chunk); j, i = j+8, i+1 {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(chunk[j:]))
+				if math.IsNaN(v) {
+					return nil, fmt.Errorf("dataset: NaN in column %q row %d", names[d], i)
+				}
+				col = append(col, v)
 			}
-			col = append(col, v)
 		}
 		t.cols[d] = col
 	}
 	return t, nil
 }
+
+// binaryChunk is how many values ReadBinary reads at once.
+const binaryChunk = 4096
 
 func min64(a, b uint64) uint64 {
 	if a < b {

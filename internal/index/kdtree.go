@@ -11,6 +11,8 @@ package index
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"sthist/internal/dataset"
 	"sthist/internal/geom"
@@ -35,27 +37,35 @@ func (s *ScanCounter) Count(r geom.Rect) int { return s.tab.CountIn(r) }
 
 // KDTree is a static k-d tree over the rows of a table, with per-node
 // subtree counts and bounding boxes for fast orthogonal range counting.
+//
+// Its layout is flat. The points are one row-major []float64, permuted into
+// tree order so that every node's points are one run of rows. The nodes are
+// int32 row ranges in pre-order, and their boxes sit in one []float64.
 type KDTree struct {
 	dims   int
-	points []geom.Point // row-major copy of the table, permuted in place
-	nodes  []kdNode
-	root   int
+	coords []float64 // the rows, dims values each, in tree order
+	nodes  []kdNode  // in pre-order: nodes[0] is the root
+	boxes  []float64 // node i's box: dims lows from 2*dims*i, then dims highs
 	bounds geom.Rect
 }
 
+// kdNode covers rows [start, end). A leaf has right < 0; an internal node's
+// left child is the node after it and its right child is nodes[right].
 type kdNode struct {
-	// Leaf nodes hold points[start:end]; internal nodes split on axis at
-	// value split with children left/right.
-	box         geom.Rect
-	start, end  int
-	left, right int // -1 for leaves
-	axis        int
-	split       float64
+	start, end, right int32
 }
 
 // leafSize is the bucket size below which nodes store points directly.
 // Chosen so the per-node overhead stays small while leaf scans remain cheap.
 const leafSize = 32
+
+// sampleSize is how many of a node's rows choose its split from: the axis
+// is the dimension the sample spans widest, the pivot the sample's median.
+const sampleSize = 63
+
+// smallSplit is the node size up to which quickselect splits at the exact
+// median directly: it costs less there than sorting a sample.
+const smallSplit = 4 * sampleSize
 
 // BuildKDTree indexes all rows of tab. The table contents are copied, so the
 // index remains valid if the table grows afterwards (the new rows are simply
@@ -65,77 +75,174 @@ func BuildKDTree(tab *dataset.Table) (*KDTree, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("index: cannot index an empty table")
 	}
-	t := &KDTree{dims: tab.Dims(), points: make([]geom.Point, n)}
-	flat := make([]float64, n*t.dims)
-	for i := 0; i < n; i++ {
-		p := flat[i*t.dims : (i+1)*t.dims]
-		tab.Row(i, p)
-		t.points[i] = p
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("index: %d rows exceed the tree's int32 row ranges", n)
 	}
-	t.nodes = make([]kdNode, 0, 2*n/leafSize+1)
-	t.root = t.build(0, n, 0)
-	t.bounds = t.nodes[t.root].box
+	dims := tab.Dims()
+	t := &KDTree{dims: dims, coords: make([]float64, n*dims)}
+	for d := 0; d < dims; d++ {
+		for i, v := range tab.Column(d) {
+			t.coords[i*dims+d] = v
+		}
+	}
+	// A tree split at exact medians has about 4n/leafSize nodes.
+	t.nodes = make([]kdNode, 0, 4*n/leafSize+1)
+	t.boxes = make([]float64, 0, cap(t.nodes)*2*dims)
+	b := &builder{KDTree: t, lo: make([]float64, dims), hi: make([]float64, dims), sample: make([]float64, sampleSize)}
+	b.build(0, n, 0)
+	lo, hi := t.box(0)
+	t.bounds = geom.Rect{Lo: slices.Clone(lo), Hi: slices.Clone(hi)}
 	return t, nil
 }
 
-// build constructs the subtree over points[start:end) and returns its node id.
-func (t *KDTree) build(start, end, depth int) int {
-	box, _ := geom.BoundingRect(t.points[start:end])
-	id := len(t.nodes)
-	t.nodes = append(t.nodes, kdNode{box: box, start: start, end: end, left: -1, right: -1})
+// builder holds the working buffers of one BuildKDTree.
+type builder struct {
+	*KDTree
+	lo, hi, sample []float64 // split's sample extents and axis values
+}
+
+// build appends the subtree over rows [start, end) in pre-order and returns
+// its id. The node's box is filled once its subtree is built: from the rows
+// of a leaf, and as the union of an internal node's children's boxes.
+func (b *builder) build(start, end, depth int) int32 {
+	id := int32(len(b.nodes))
+	b.nodes = append(b.nodes, kdNode{start: int32(start), end: int32(end), right: -1})
+	b.boxes = slices.Grow(b.boxes, 2*b.dims)[:len(b.boxes)+2*b.dims]
 	if end-start <= leafSize {
+		lo, hi := b.box(id)
+		copy(lo, b.row(start))
+		copy(hi, lo)
+		for i := start + 1; i < end; i++ {
+			for d, v := range b.row(i) {
+				lo[d], hi[d] = min(lo[d], v), max(hi[d], v)
+			}
+		}
 		return id
 	}
-	// Split on the widest dimension of the node's box; fall back to the
-	// depth-cycled axis when the box is degenerate.
-	axis := 0
-	widest := -1.0
-	for d := 0; d < t.dims; d++ {
-		if s := box.Side(d); s > widest {
-			widest, axis = s, d
-		}
+	mid := b.split(start, end, depth)
+	b.build(start, mid, depth+1)
+	right := b.build(mid, end, depth+1)
+	b.nodes[id].right = right
+	lo, hi := b.box(id)
+	llo, lhi := b.box(id + 1)
+	rlo, rhi := b.box(right)
+	for d := range lo {
+		lo[d], hi[d] = min(llo[d], rlo[d]), max(lhi[d], rhi[d])
 	}
-	if widest == 0 {
-		axis = depth % t.dims
-	}
-	mid := (start + end) / 2
-	nthElement(t.points[start:end], mid-start, axis)
-	split := t.points[mid][axis]
-	left := t.build(start, mid, depth+1)
-	right := t.build(mid, end, depth+1)
-	n := &t.nodes[id]
-	n.left, n.right = left, right
-	n.axis, n.split = axis, split
 	return id
 }
 
-// nthElement partially sorts pts so that pts[k] is the k-th smallest by the
-// given axis, with smaller elements before it and larger after (quickselect).
-func nthElement(pts []geom.Point, k, axis int) {
-	lo, hi := 0, len(pts)-1
+// split reorders rows [start, end) into two runs of at least a quarter of
+// them each, every row of the first at most every row of the second on one
+// axis, and returns where the second begins. The axis is the dimension a
+// strided sample of the rows spans widest (the depth-cycled one when the
+// sample spans none). One partition pass at the sample's median splits the
+// rows; quickselect splits them at their exact median instead when either
+// side would get under a quarter of them, and on nodes of at most
+// smallSplit rows.
+func (b *builder) split(start, end, depth int) int {
+	n := end - start
+	s := min(n, sampleSize)
+	lo, hi := b.lo, b.hi[:len(b.lo)]
+	copy(lo, b.row(start))
+	copy(hi, lo)
+	for k := 1; k < s; k++ {
+		row := b.row(start + k*n/s)[:len(lo)]
+		for d, v := range row {
+			lo[d], hi[d] = min(lo[d], v), max(hi[d], v)
+		}
+	}
+	axis, widest := depth%b.dims, 0.0
+	for d := range lo {
+		if w := hi[d] - lo[d]; w > widest {
+			axis, widest = d, w
+		}
+	}
+	mid := start + n/2
+	if n > smallSplit {
+		sample := b.sample[:s]
+		for k := range sample {
+			sample[k] = b.row(start + k*n/s)[axis]
+		}
+		slices.Sort(sample)
+		if m := b.partition(start, end, axis, sample[s/2]); min(m-start, end-m) >= n/4 {
+			return m
+		}
+	}
+	b.nthElement(start, end, mid, axis)
+	return mid
+}
+
+// row returns row i's values.
+func (t *KDTree) row(i int) []float64 {
+	return t.coords[i*t.dims : (i+1)*t.dims : (i+1)*t.dims]
+}
+
+// box returns node id's low and high corners.
+func (t *KDTree) box(id int32) (lo, hi []float64) {
+	k := 2 * t.dims * int(id)
+	return t.boxes[k : k+t.dims : k+t.dims], t.boxes[k+t.dims : k+2*t.dims : k+2*t.dims]
+}
+
+// swap exchanges rows i and j.
+func (t *KDTree) swap(i, j int) {
+	a, b := t.row(i), t.row(j)
+	for d := range a {
+		a[d], b[d] = b[d], a[d]
+	}
+}
+
+// partition moves the rows of [start, end) whose axis value is below pivot
+// before the others and returns where the others begin.
+func (t *KDTree) partition(start, end, axis int, pivot float64) int {
+	c, dims := t.coords, t.dims
+	at := func(i int) float64 { return c[i*dims+axis] }
+	i, j := start, end-1
+	for {
+		for i <= j && at(i) < pivot {
+			i++
+		}
+		for i <= j && !(at(j) < pivot) {
+			j--
+		}
+		if i >= j {
+			return i
+		}
+		t.swap(i, j)
+		i, j = i+1, j-1
+	}
+}
+
+// nthElement partially sorts rows [start, end) so that row k holds the
+// (k-start)-th smallest axis value, with smaller values before it and
+// larger after (quickselect).
+func (t *KDTree) nthElement(start, end, k, axis int) {
+	c, dims := t.coords, t.dims
+	at := func(i int) float64 { return c[i*dims+axis] }
+	lo, hi := start, end-1
 	for lo < hi {
 		// Median-of-three pivot for resilience on sorted inputs.
 		mid := lo + (hi-lo)/2
-		if pts[mid][axis] < pts[lo][axis] {
-			pts[mid], pts[lo] = pts[lo], pts[mid]
+		if at(mid) < at(lo) {
+			t.swap(mid, lo)
 		}
-		if pts[hi][axis] < pts[lo][axis] {
-			pts[hi], pts[lo] = pts[lo], pts[hi]
+		if at(hi) < at(lo) {
+			t.swap(hi, lo)
 		}
-		if pts[hi][axis] < pts[mid][axis] {
-			pts[hi], pts[mid] = pts[mid], pts[hi]
+		if at(hi) < at(mid) {
+			t.swap(hi, mid)
 		}
-		pivot := pts[mid][axis]
+		pivot := at(mid)
 		i, j := lo, hi
 		for i <= j {
-			for pts[i][axis] < pivot {
+			for at(i) < pivot {
 				i++
 			}
-			for pts[j][axis] > pivot {
+			for at(j) > pivot {
 				j--
 			}
 			if i <= j {
-				pts[i], pts[j] = pts[j], pts[i]
+				t.swap(i, j)
 				i++
 				j--
 			}
@@ -151,97 +258,59 @@ func nthElement(pts []geom.Point, k, axis int) {
 }
 
 // Count returns the exact number of indexed points inside r (boundaries
-// inclusive); 0 when r's dimensionality differs from the tree's.
+// inclusive); 0 when r's dimensionality differs from the tree's. It does
+// not allocate.
 func (t *KDTree) Count(r geom.Rect) int {
 	if r.Dims() != t.dims {
 		return 0
 	}
-	return t.count(t.root, r)
+	return t.count(0, r.Lo, r.Hi)
 }
 
-func (t *KDTree) count(id int, r geom.Rect) int {
-	n := &t.nodes[id]
-	if !r.Intersects(n.box) {
-		return 0
+func (t *KDTree) count(id int32, lo, hi []float64) int {
+	blo, bhi := t.box(id)
+	inside := true
+	for d := range blo {
+		if hi[d] < blo[d] || lo[d] > bhi[d] {
+			return 0
+		}
+		if lo[d] > blo[d] || hi[d] < bhi[d] {
+			inside = false
+		}
 	}
-	if r.Contains(n.box) {
-		return n.end - n.start
+	n := t.nodes[id]
+	if inside {
+		return int(n.end - n.start)
 	}
-	if n.left < 0 {
+	if n.right < 0 {
 		c := 0
-		for _, p := range t.points[n.start:n.end] {
-			if r.ContainsPoint(p) {
-				c++
+	rows:
+		for i := int(n.start); i < int(n.end); i++ {
+			for d, v := range t.row(i) {
+				if v < lo[d] || v > hi[d] {
+					continue rows
+				}
 			}
+			c++
 		}
 		return c
 	}
-	return t.count(n.left, r) + t.count(n.right, r)
+	return t.count(id+1, lo, hi) + t.count(n.right, lo, hi)
 }
 
 // Total returns the number of indexed points.
-func (t *KDTree) Total() int { return len(t.points) }
+func (t *KDTree) Total() int { return len(t.coords) / t.dims }
 
 // Bounds returns the bounding box of the indexed points.
 func (t *KDTree) Bounds() geom.Rect { return t.bounds }
 
-// Collect returns the indexed points inside r. Used by the clustering
-// pipeline to materialize cluster contents; the returned points alias the
-// tree's storage and must not be modified.
-func (t *KDTree) Collect(r geom.Rect) []geom.Point {
-	var out []geom.Point
-	t.collect(t.root, r, &out)
-	return out
-}
-
-func (t *KDTree) collect(id int, r geom.Rect, out *[]geom.Point) {
-	n := &t.nodes[id]
-	if !r.Intersects(n.box) {
-		return
-	}
-	if r.Contains(n.box) {
-		*out = append(*out, t.points[n.start:n.end]...)
-		return
-	}
-	if n.left < 0 {
-		for _, p := range t.points[n.start:n.end] {
-			if r.ContainsPoint(p) {
-				*out = append(*out, p)
-			}
-		}
-		return
-	}
-	t.collect(n.left, r, out)
-	t.collect(n.right, r, out)
-}
-
 // Depth returns the height of the tree (root = 1). Exposed for diagnostics.
-func (t *KDTree) Depth() int { return t.depth(t.root) }
+func (t *KDTree) Depth() int { return t.depth(0) }
 
-func (t *KDTree) depth(id int) int {
-	n := &t.nodes[id]
-	if n.left < 0 {
+func (t *KDTree) depth(id int32) int {
+	n := t.nodes[id]
+	if n.right < 0 {
 		return 1
 	}
-	l, r := t.depth(n.left), t.depth(n.right)
-	if l > r {
-		return 1 + l
-	}
-	return 1 + r
-}
-
-// verifyPartition reports whether quickselect left the k-th point correctly
-// positioned along axis; used by the package tests.
-func verifyPartition(pts []geom.Point, k, axis int) bool {
-	for i := 0; i < k; i++ {
-		if pts[i][axis] > pts[k][axis] {
-			return false
-		}
-	}
-	for i := k + 1; i < len(pts); i++ {
-		if pts[i][axis] < pts[k][axis] {
-			return false
-		}
-	}
-	return true
+	return 1 + max(t.depth(id+1), t.depth(n.right))
 }

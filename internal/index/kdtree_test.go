@@ -1,10 +1,12 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"sthist/internal/datagen"
 	"sthist/internal/dataset"
 	"sthist/internal/geom"
 )
@@ -117,39 +119,40 @@ func TestKDTreeDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestKDTreeCollect(t *testing.T) {
-	tab := randomTable(2000, 3, 11)
-	kt, err := BuildKDTree(tab)
-	if err != nil {
-		t.Fatal(err)
+// flatTree wraps rows of points in a tree with no nodes, for the tests of
+// the row-reordering helpers.
+func flatTree(pts [][]float64) *KDTree {
+	t := &KDTree{dims: len(pts[0])}
+	for _, p := range pts {
+		t.coords = append(t.coords, p...)
 	}
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 20; i++ {
-		q := randomBox(rng, 3)
-		pts := kt.Collect(q)
-		if len(pts) != kt.Count(q) {
-			t.Fatalf("Collect returned %d points, Count says %d", len(pts), kt.Count(q))
-		}
-		for _, p := range pts {
-			if !q.ContainsPoint(p) {
-				t.Fatalf("collected point %v outside query %v", p, q)
-			}
+	return t
+}
+
+// verifyPartition reports whether every row before row k is at most row k
+// and every row after it at least row k on axis.
+func verifyPartition(t *KDTree, k, axis int) bool {
+	for i := range t.Total() {
+		if (i < k && t.row(i)[axis] > t.row(k)[axis]) || (i > k && t.row(i)[axis] < t.row(k)[axis]) {
+			return false
 		}
 	}
+	return true
 }
 
 func TestNthElement(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(200)
-		pts := make([]geom.Point, n)
+		pts := make([][]float64, n)
 		for i := range pts {
-			pts[i] = geom.Point{rng.Float64(), rng.Float64()}
+			pts[i] = []float64{rng.Float64(), rng.Float64()}
 		}
+		kt := flatTree(pts)
 		k := rng.Intn(n)
 		axis := rng.Intn(2)
-		nthElement(pts, k, axis)
-		if !verifyPartition(pts, k, axis) {
+		kt.nthElement(0, n, k, axis)
+		if !verifyPartition(kt, k, axis) {
 			t.Fatalf("trial %d: partition invariant violated (n=%d k=%d)", trial, n, k)
 		}
 	}
@@ -158,13 +161,113 @@ func TestNthElement(t *testing.T) {
 func TestNthElementSortedInput(t *testing.T) {
 	// Pre-sorted input exercises the median-of-three path.
 	n := 1000
-	pts := make([]geom.Point, n)
+	pts := make([][]float64, n)
 	for i := range pts {
-		pts[i] = geom.Point{float64(i)}
+		pts[i] = []float64{float64(i)}
 	}
-	nthElement(pts, n/4, 0)
-	if !verifyPartition(pts, n/4, 0) {
+	kt := flatTree(pts)
+	kt.nthElement(0, n, n/4, 0)
+	if !verifyPartition(kt, n/4, 0) {
 		t.Error("partition invariant violated on sorted input")
+	}
+}
+
+// TestSplitPartition pins split's invariant on random, sorted, clumped and
+// constant rows: both runs hold at least a quarter of the rows, and on some
+// axis every row of the first is at most every row of the second.
+func TestSplitPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, c := range []struct {
+		name string
+		row  func(i int) []float64
+	}{
+		{"random", func(int) []float64 { return []float64{rng.Float64(), rng.Float64(), rng.Float64()} }},
+		{"sorted", func(i int) []float64 { return []float64{float64(i), float64(-i), 0} }},
+		{"clumped", func(int) []float64 { return []float64{float64(rng.Intn(3)), float64(rng.Intn(2)), 1} }},
+		{"constant", func(int) []float64 { return []float64{5, 5, 5} }},
+	} {
+		name, row := c.name, c.row
+		for trial := 0; trial < 20; trial++ {
+			n := leafSize + 1 + rng.Intn(2000)
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = row(i)
+			}
+			kt := flatTree(pts)
+			b := &builder{KDTree: kt, lo: make([]float64, 3), hi: make([]float64, 3), sample: make([]float64, sampleSize)}
+			mid := b.split(0, n, trial)
+			if min(mid, n-mid) < n/4 {
+				t.Fatalf("%s n=%d: split at %d leaves a side under a quarter", name, n, mid)
+			}
+			ok := false
+			for axis := 0; axis < 3 && !ok; axis++ {
+				lo, hi := math.Inf(-1), math.Inf(1)
+				for i := 0; i < mid; i++ {
+					lo = max(lo, kt.row(i)[axis])
+				}
+				for i := mid; i < n; i++ {
+					hi = min(hi, kt.row(i)[axis])
+				}
+				ok = lo <= hi
+			}
+			if !ok {
+				t.Fatalf("%s n=%d: no axis separates the runs split at %d", name, n, mid)
+			}
+		}
+	}
+}
+
+func TestKDTreeCountZeroAllocs(t *testing.T) {
+	tab := randomTable(3000, 4, 41)
+	kt, err := BuildKDTree(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	queries := make([]geom.Rect, 32)
+	for i := range queries {
+		queries[i] = randomBox(rng, 4)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		kt.Count(queries[i%len(queries)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("Count allocated %v times per call", allocs)
+	}
+}
+
+// TestKDTreeDepthBound bounds the height of trees split at sampled medians
+// by twice that of an exact-median tree, on the sky and cross tables and a
+// table where 90% of the rows share one value.
+func TestKDTreeDepthBound(t *testing.T) {
+	skewed := dataset.MustNew("x", "y")
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 20000; i++ {
+		if i%10 == 0 {
+			skewed.MustAppend([]float64{rng.Float64() * 100, rng.Float64() * 100})
+		} else {
+			skewed.MustAppend([]float64{50, 50})
+		}
+	}
+	for _, c := range []struct {
+		name string
+		tab  *dataset.Table
+	}{
+		{"sky", datagen.SkySim(0.02, 1).Table},
+		{"cross", datagen.Cross(1, 1).Table},
+		{"skewed", skewed},
+	} {
+		name, tab := c.name, c.tab
+		kt, err := BuildKDTree(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 2*int(math.Ceil(math.Log2(float64(tab.Len())/leafSize))) + 1
+		if kt.Depth() > bound {
+			t.Errorf("%s: depth %d exceeds %d", name, kt.Depth(), bound)
+		}
+		t.Logf("%s: %d rows, depth %d (bound %d)", name, tab.Len(), kt.Depth(), bound)
 	}
 }
 
@@ -182,6 +285,31 @@ func TestQuickKDTreeCountMatchesScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkBuildKDTree times BuildKDTree on the tables the end-to-end
+// benchmark serves: SkySim(0.02) (34,942 rows by 7 dimensions), Cross(1)
+// (22,000 by 2) and the five times larger SkySim(0.1).
+func BenchmarkBuildKDTree(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		tab  func() *dataset.Table
+	}{
+		{"sky", func() *dataset.Table { return datagen.SkySim(0.02, 1).Table }},
+		{"cross", func() *dataset.Table { return datagen.Cross(1, 1).Table }},
+		{"sky0.1", func() *dataset.Table { return datagen.SkySim(0.1, 1).Table }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tab := c.tab()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildKDTree(tab); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -160,7 +161,9 @@ func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 	if cfg.MaxTransactions > 0 && cfg.MaxTransactions < n {
 		points = cfg.MaxTransactions
 	}
-	buf := newBuffers(len(cols), points, min(runtime.NumCPU(), cfg.MedoidSamples))
+	// Workers beyond GOMAXPROCS could not run at once and would only add
+	// buffers.
+	buf := newBuffers(len(cols), n, points, min(runtime.GOMAXPROCS(0), cfg.MedoidSamples))
 	var clusters []Cluster
 	for len(remaining) >= minSup {
 		if cfg.MaxClusters > 0 && len(clusters) >= cfg.MaxClusters {
@@ -187,18 +190,39 @@ func Run(tab *dataset.Table, cfg Config) ([]Cluster, error) {
 	return clusters, nil
 }
 
-// buffers are the allocations every extraction round of one Run reuses.
+// buffers are the allocations every extraction round of one Run reuses, so
+// a Run's garbage does not grow with its number of rounds.
 type buffers struct {
+	// rows holds a subsampled round's permutation of remaining until the
+	// transactions are drawn, then the winning cluster's members until they
+	// are copied out.
+	rows   []int
+	txRows []int      // the subsampled round's transaction rows
 	txKeys [][]uint64 // the round's transaction subsample as keyOf keys, column by column
 	miners []miner    // one per trial worker
 }
 
-func newBuffers(dims, points, workers int) *buffers {
-	b := &buffers{txKeys: make([][]uint64, dims), miners: make([]miner, workers)}
+// newBuffers sizes the buffers for a Run over n rows of dims columns whose
+// rounds mine at most points transactions.
+func newBuffers(dims, n, points, workers int) *buffers {
+	b := &buffers{rows: make([]int, n), txKeys: make([][]uint64, dims), miners: make([]miner, workers)}
+	if points < n {
+		b.txRows = make([]int, points)
+	}
 	for d := range b.txKeys {
 		b.txKeys[d] = make([]uint64, 0, points)
 	}
 	return b
+}
+
+// permInto fills m with rng.Perm(len(m)), making exactly Perm's draws, so the
+// generator is left where Perm would leave it.
+func permInto(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }
 
 // bestClusterAround samples medoids from remaining and returns the best
@@ -212,9 +236,10 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 	txRows := remaining
 	txMinSup := minSup
 	if cfg.MaxTransactions > 0 && len(remaining) > cfg.MaxTransactions {
-		perm := rng.Perm(len(remaining))[:cfg.MaxTransactions]
-		txRows = make([]int, cfg.MaxTransactions)
-		for i, j := range perm {
+		perm := buf.rows[:len(remaining)]
+		permInto(rng, perm)
+		txRows = buf.txRows
+		for i, j := range perm[:len(txRows)] {
 			txRows[i] = remaining[j]
 		}
 		// Scale the support threshold to the subsample.
@@ -296,7 +321,7 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 	// Materialize the cluster over the FULL remaining set (not just the
 	// subsample): members are the points within Width of the winning medoid
 	// on every relevant dimension.
-	var rows []int
+	rows := buf.rows[:0]
 	for _, r := range remaining {
 		member := true
 		for _, d := range bestDims {
@@ -330,7 +355,7 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 	}
 	return Cluster{
 		Dims:   bestDims,
-		Rows:   rows,
+		Rows:   slices.Clone(rows),
 		Box:    geom.Rect{Lo: lo, Hi: hi},
 		Medoid: bestMedoid,
 		Score:  float64(len(rows)) * pow(gain, len(bestDims)),

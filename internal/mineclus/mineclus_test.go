@@ -3,6 +3,9 @@ package mineclus
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sthist/internal/datagen"
@@ -244,6 +247,48 @@ func TestRunSubsampledTransactions(t *testing.T) {
 	}
 	if len(clusters) == 0 {
 		t.Error("subsampled run found no clusters")
+	}
+}
+
+// TestPermIntoMatchesPerm pins that the reused permutation equals
+// rand.Perm's and leaves the generator where Perm leaves it, so subsampled
+// rounds draw the same transactions and medoids as with Perm.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := make([]int, 2000)
+	for _, seed := range []int64{1, 2, 7, 501} {
+		want, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for n := 0; n <= 2000; n++ {
+			m := buf[:n]
+			permInto(got, m)
+			if p := want.Perm(n); !slices.Equal(m, p) {
+				t.Fatalf("seed %d n=%d: permInto differs from Perm", seed, n)
+			}
+			if a, b := want.Int63(), got.Int63(); a != b {
+				t.Fatalf("seed %d n=%d: next Int63 %d after permInto, %d after Perm", seed, n, b, a)
+			}
+		}
+	}
+}
+
+// TestRunAllocations bounds what one Run on the end-to-end benchmark's sky
+// table allocates, with sthist.Open's widths: the extraction rounds reuse
+// their buffers instead of allocating a permutation, a subsample and a
+// member list each. Each trial worker owns about 100 kB of buffers, so the
+// run is pinned to the two workers of the 2-CPU host it was measured on.
+func TestRunAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tab := datagen.SkySim(0.02, 1).Table
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	cfg.Width, cfg.Widths = 0, openWidths(t, tab)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(tab, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("Run allocated %.2f MB, want at most 4 MB", float64(got)/(1<<20))
 	}
 }
 

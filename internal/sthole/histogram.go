@@ -177,6 +177,11 @@ func New(domain geom.Rect, maxBuckets int, totalTuples float64) (*Histogram, err
 	if totalTuples < 0 || math.IsNaN(totalTuples) {
 		return nil, fmt.Errorf("sthole: invalid total tuple count %g", totalTuples)
 	}
+	for d := range domain.Lo {
+		if math.IsInf(domain.Lo[d], 0) || math.IsInf(domain.Hi[d], 0) {
+			return nil, fmt.Errorf("sthole: domain %v has an infinite bound on dimension %d", domain, d)
+		}
+	}
 	if domain.Volume() <= 0 {
 		return nil, fmt.Errorf("sthole: domain %v has zero volume", domain)
 	}

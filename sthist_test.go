@@ -203,6 +203,33 @@ func TestOpenLeavesIndexBounds(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsInfiniteDomain pins that a table holding an infinite value
+// does not open into a histogram whose root bucket has infinite volume (and
+// so estimates 0 everywhere), unless the caller passes a finite domain.
+func TestOpenRejectsInfiniteDomain(t *testing.T) {
+	tab, err := LoadCSV(strings.NewReader("a,b\n1,2\n3,4\n5,Inf\n7,8\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(tab, Options{Buckets: 10}); err == nil || !strings.Contains(err.Error(), "dimension 1") {
+		t.Fatalf("Open over a table with +Inf: err = %v, want an infinite bound on dimension 1", err)
+	}
+	domain, err := NewRect([]float64{0, 0}, []float64{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := Open(tab, Options{Buckets: 10, Domain: domain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := est.TrueCount(domain); got != 3 {
+		t.Errorf("TrueCount(domain) = %g, want 3", got)
+	}
+	if got := est.Estimate(domain); !(got > 0) || math.IsInf(got, 0) {
+		t.Errorf("Estimate(domain) = %g, want a positive finite estimate", got)
+	}
+}
+
 func TestConcurrentEstimateAndFeedback(t *testing.T) {
 	tab := clusteredTable(t)
 	est, err := Open(tab, Options{Buckets: 40, Seed: 6})
