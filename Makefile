@@ -149,8 +149,6 @@ examples:
 	$(GO) run ./examples/skysurvey
 	$(GO) run ./examples/sensitivity
 	$(GO) run ./examples/adaptive
-	$(GO) run ./examples/catalog
-	$(GO) run ./examples/joinplan
 	$(GO) run ./examples/obs
 
 experiments:

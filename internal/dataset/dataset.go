@@ -197,17 +197,6 @@ func (t *Table) Sample(k int, rng *rand.Rand) []int {
 	return perm[:k]
 }
 
-// Subset returns a new table containing the given rows, in order.
-func (t *Table) Subset(rows []int) *Table {
-	s := MustNew(t.names...)
-	s.Grow(len(rows))
-	buf := make([]float64, t.Dims())
-	for _, i := range rows {
-		s.MustAppend(t.Row(i, buf))
-	}
-	return s
-}
-
 // WriteCSV writes the table with a header row.
 func (t *Table) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)

@@ -102,17 +102,6 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	tab := MustNew("x", "y")
-	for i := 0; i < 5; i++ {
-		tab.MustAppend([]float64{float64(i), float64(-i)})
-	}
-	s := tab.Subset([]int{4, 0})
-	if s.Len() != 2 || s.Value(0, 0) != 4 || s.Value(1, 1) != 0 {
-		t.Errorf("Subset produced wrong rows")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tab := MustNew("ra", "dec")
 	tab.MustAppend([]float64{1.5, -2.25})

@@ -154,16 +154,9 @@ func BuildCandidate(obs []Observation, domain geom.Rect, maxBuckets int, totalTu
 
 	// Replay the retained feedback so the candidate's frequencies reflect
 	// the observed counts, not just the cloud's uniformity smear. Same
-	// scalar interpolation the live Feedback path uses.
+	// scalar split the live Feedback path uses.
 	for _, c := range usable {
-		box, actual := c.box, c.weight
-		vol := box.Volume()
-		h.Drill(box, func(r geom.Rect) float64 {
-			if vol <= 0 {
-				return actual
-			}
-			return actual * box.IntersectionVolume(r) / vol
-		})
+		h.DrillScalar(c.box, c.weight)
 	}
 	if err := h.Validate(); err != nil {
 		return nil, fmt.Errorf("drift: candidate failed validation: %w", err)

@@ -63,13 +63,7 @@ func (s *Shadow) Observe(q geom.Rect, liveEst, trivial, actual float64) {
 	s.sumCand += math.Abs(s.cand.Estimate(q) - actual)
 	s.sumRefine += math.Abs(s.refine.Estimate(q) - actual)
 	s.sumTriv += math.Abs(trivial - actual)
-	vol := q.Volume()
-	s.cand.Drill(q, func(r geom.Rect) float64 {
-		if vol <= 0 {
-			return actual
-		}
-		return actual * q.IntersectionVolume(r) / vol
-	})
+	s.cand.DrillScalar(q, actual)
 	s.refine.Feedback(q, actual)
 }
 

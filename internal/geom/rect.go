@@ -240,18 +240,6 @@ func (r Rect) EncloseInto(s Rect, dst *Rect) {
 	}
 }
 
-// ExpandToPoint grows r in place so that it contains p.
-func (r *Rect) ExpandToPoint(p Point) {
-	for d := range p {
-		if p[d] < r.Lo[d] {
-			r.Lo[d] = p[d]
-		}
-		if p[d] > r.Hi[d] {
-			r.Hi[d] = p[d]
-		}
-	}
-}
-
 // Shrink returns the largest-volume sub-rectangle of r obtained by cutting r
 // along a single dimension so that the result no longer overlaps cutter's
 // interior. This is the elementary step of STHoles candidate-hole shrinking:

@@ -188,16 +188,6 @@ func TestSideForVolumeFraction(t *testing.T) {
 	}
 }
 
-func TestBoundingRect(t *testing.T) {
-	if _, ok := BoundingRect(nil); ok {
-		t.Error("empty point set produced a bounding rect")
-	}
-	r, ok := BoundingRect([]Point{{1, 2}, {-1, 5}, {0, 0}})
-	if !ok || !r.Equal(rect2(-1, 0, 1, 5)) {
-		t.Errorf("BoundingRect = %v, %v", r, ok)
-	}
-}
-
 // --- property-based tests -------------------------------------------------
 
 // randRect draws a random rectangle with the given dimensionality inside

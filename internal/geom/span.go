@@ -78,16 +78,3 @@ func SideForVolumeFraction(domain Rect, frac float64) []float64 {
 	}
 	return sides
 }
-
-// BoundingRect returns the minimal rectangle containing all points. It
-// reports false when points is empty.
-func BoundingRect(points []Point) (Rect, bool) {
-	if len(points) == 0 {
-		return Rect{}, false
-	}
-	r := Rect{Lo: points[0].Clone(), Hi: points[0].Clone()}
-	for _, p := range points[1:] {
-		r.ExpandToPoint(p)
-	}
-	return r, true
-}

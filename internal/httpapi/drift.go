@@ -8,6 +8,7 @@ import (
 
 	"sthist"
 	"sthist/internal/drift"
+	"sthist/internal/metrics"
 	"sthist/internal/reservoir"
 	"sthist/internal/telemetry"
 	"sthist/internal/wal"
@@ -150,15 +151,9 @@ func (e *entry) driftStepLocked(obs []sthist.Observation, liveEsts []float64) {
 		}
 	}
 	if d.shadow != nil && len(liveEsts) == len(obs) {
-		dom := e.est.Domain()
-		dvol := dom.Volume()
-		total := e.est.StatsSnapshot().TotalTuples
+		triv := metrics.TrivialEstimator{Domain: e.est.Domain(), Total: e.est.StatsSnapshot().TotalTuples}
 		for i := range obs {
-			triv := 0.0
-			if dvol > 0 {
-				triv = total * dom.IntersectionVolume(obs[i].Query) / dvol
-			}
-			d.shadow.Observe(obs[i].Query, liveEsts[i], triv, obs[i].Actual)
+			d.shadow.Observe(obs[i].Query, liveEsts[i], triv.Estimate(obs[i].Query), obs[i].Actual)
 		}
 		if d.shadow.Rounds() >= d.cfg.Probation {
 			e.resolveProbationLocked()

@@ -502,7 +502,10 @@ func TestCrashAcrossReseedSwapRecoversBitIdentical(t *testing.T) {
 // TestDriftConcurrentReadsDuringPromotion hammers wait-free reads and HTTP
 // estimates while the drift loop detects, builds, scores and promotes.
 // Meaningful under -race: it proves the probation bookkeeping and the
-// atomic swap never race with concurrent readers.
+// atomic swap never race with concurrent readers. The writer waits for each
+// background build, as the promotion tests do, so the round a build lands
+// on, and with it the reservoir the next trigger sees, does not depend on
+// how busy the machine is.
 func TestDriftConcurrentReadsDuringPromotion(t *testing.T) {
 	est, err := sthist.Open(uniformTable(t, 1), sthist.Options{Buckets: 30, Seed: 2})
 	if err != nil {
@@ -538,6 +541,7 @@ func TestDriftConcurrentReadsDuringPromotion(t *testing.T) {
 	for round := 1; round <= 300; round++ {
 		lo, hi := shiftedQuery(rng, 250)
 		driveRound(t, ent, lo, hi, shiftedActual(geom.MustRect(lo, hi)))
+		awaitBuild(t, ent)
 		if ds := ent.driftStats(); ds.Promoted+ds.Rejected >= 1 {
 			break
 		}

@@ -120,6 +120,51 @@ func TestEstimateAndFeedback(t *testing.T) {
 	}
 }
 
+// TestFeedbackPastDomain posts feedback on a box far past the domain, whose
+// volume overflows. It must teach the histogram what the same count on the
+// domain teaches it. A split that divides by the box's volume credits every
+// candidate hole 0 and erases the histogram's mass.
+func TestFeedbackPastDomain(t *testing.T) {
+	s, wide := newTestServer(t)
+	_, clipped := newTestServer(t)
+	ent, err := s.lookup("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := ent.est.Domain()
+	for _, fb := range []struct {
+		url    string
+		lo, hi []float64
+	}{
+		{wide.URL, []float64{-1e300, -1e300}, []float64{1e300, 1e300}},
+		{clipped.URL, dom.Lo, dom.Hi},
+	} {
+		body := map[string]any{"table": "orders", "lo": fb.lo, "hi": fb.hi, "actual": 2200.0}
+		if resp, out := post(t, fb.url+"/feedback", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("feedback on %v-%v: status %d, %s", fb.lo, fb.hi, resp.StatusCode, out["error"])
+		}
+	}
+	estimate := func(url string, lo, hi []float64) float64 {
+		t.Helper()
+		_, out := post(t, url+"/estimate", map[string]any{"table": "orders", "lo": lo, "hi": hi})
+		var v float64
+		if err := json.Unmarshal(out["estimate"], &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, p := range [][2][]float64{
+		{{200, 600}, {300, 700}},
+		{{0, 0}, {500, 500}},
+		{dom.Lo, dom.Hi},
+	} {
+		got, want := estimate(wide.URL, p[0], p[1]), estimate(clipped.URL, p[0], p[1])
+		if got != want {
+			t.Errorf("estimate of %v-%v after feedback past the domain = %g, after clipped feedback %g", p[0], p[1], got, want)
+		}
+	}
+}
+
 func TestEstimateErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	cases := []map[string]any{

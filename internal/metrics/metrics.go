@@ -63,72 +63,3 @@ func NormalizedAbsoluteError(h Estimator, queries []geom.Rect, real TrueCounter,
 	}
 	return e / e0, nil
 }
-
-// Summary aggregates absolute errors of a run.
-type Summary struct {
-	Mean   float64
-	Median float64
-	Max    float64
-}
-
-// Summarize computes per-query absolute errors and returns their summary.
-func Summarize(h Estimator, queries []geom.Rect, real TrueCounter) (Summary, error) {
-	if len(queries) == 0 {
-		return Summary{}, fmt.Errorf("metrics: empty workload")
-	}
-	errs := make([]float64, len(queries))
-	var sum, max float64
-	for i, q := range queries {
-		e := math.Abs(h.Estimate(q) - real(q))
-		errs[i] = e
-		sum += e
-		if e > max {
-			max = e
-		}
-	}
-	// Median via partial selection.
-	mid := len(errs) / 2
-	quickSelect(errs, mid)
-	med := errs[mid]
-	if len(errs)%2 == 0 {
-		// Lower-median convention would be fine; average with the max of the
-		// left half for the conventional even-length median.
-		lo := errs[0]
-		for _, v := range errs[:mid] {
-			if v > lo {
-				lo = v
-			}
-		}
-		med = (med + lo) / 2
-	}
-	return Summary{Mean: sum / float64(len(queries)), Median: med, Max: max}, nil
-}
-
-// quickSelect partitions xs so xs[k] holds the k-th smallest value.
-func quickSelect(xs []float64, k int) {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		pivot := xs[lo+(hi-lo)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
-}

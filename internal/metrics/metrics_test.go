@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"sthist/internal/geom"
 )
@@ -81,53 +80,5 @@ func TestNAEUndefined(t *testing.T) {
 	qs := []geom.Rect{geom.MustRect([]float64{0, 0}, []float64{5, 5})}
 	if _, err := NormalizedAbsoluteError(constEstimator(999), qs, TrueCounter(real), dom(), 100); err == nil {
 		t.Error("undefined NAE accepted")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	qs := make([]geom.Rect, 5)
-	for i := range qs {
-		lo := float64(i)
-		qs[i] = geom.MustRect([]float64{lo, 0}, []float64{lo + 1, 1})
-	}
-	// Errors: |0-real| per query = 1,2,3,4,5.
-	i := 0
-	real := func(geom.Rect) float64 { i++; return float64(i) }
-	s, err := Summarize(constEstimator(0), qs, real)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 3 || s.Median != 3 || s.Max != 5 {
-		t.Errorf("Summary = %+v, want mean 3, median 3, max 5", s)
-	}
-	if _, err := Summarize(constEstimator(0), nil, real); err == nil {
-		t.Error("empty workload accepted")
-	}
-}
-
-func TestQuickSelect(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	f := func() bool {
-		n := 1 + rng.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64()
-		}
-		k := rng.Intn(n)
-		quickSelect(xs, k)
-		for i := 0; i < k; i++ {
-			if xs[i] > xs[k] {
-				return false
-			}
-		}
-		for i := k + 1; i < n; i++ {
-			if xs[i] < xs[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

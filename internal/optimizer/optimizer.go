@@ -1,10 +1,9 @@
 // Package optimizer implements the slice of a cost-based query optimizer
 // that selectivity estimates feed ([4] in the paper): access-path selection
 // (sequential scan vs secondary-index range scan) for single-table
-// conjunctive range queries, and build-side selection for binary hash
-// joins. Plan quality is measured as REGRET: the true execution cost of the
-// plan an estimator picks, divided by the true cost of the best plan — the
-// quantity a better histogram actually improves.
+// conjunctive range queries. Plan quality is measured as REGRET: the true
+// execution cost of the plan an estimator picks, divided by the true cost of
+// the best plan — the quantity a better histogram actually improves.
 package optimizer
 
 import (
@@ -20,9 +19,6 @@ const (
 	CostSeqTuple  = 1.0
 	CostRandTuple = 4.0
 	CostProbe     = 50.0
-	// Hash join: building the table costs more per tuple than probing.
-	CostHashBuild = 2.0
-	CostHashProbe = 1.0
 )
 
 // Estimator supplies cardinality estimates for one table.
@@ -132,48 +128,6 @@ func ScanRegret(t Table, q geom.Rect, truth Estimator) float64 {
 	plan := ChooseScan(t, q)
 	chosen := TrueScanCost(t, q, plan, truth)
 	opt := OptimalScanCost(t, q, truth)
-	if opt <= 0 {
-		return 1
-	}
-	return chosen / opt
-}
-
-// JoinPlan records the build-side decision of a hash join between two
-// filtered inputs.
-type JoinPlan struct {
-	BuildLeft bool
-	EstCost   float64
-}
-
-// ChooseJoinBuildSide picks which filtered input to build the hash table on
-// (the smaller one, by estimate). Inputs are the per-table predicates.
-func ChooseJoinBuildSide(left, right Table, ql, qr geom.Rect) JoinPlan {
-	l := left.Est.Estimate(ql)
-	r := right.Est.Estimate(qr)
-	if l <= r {
-		return JoinPlan{BuildLeft: true, EstCost: l*CostHashBuild + r*CostHashProbe}
-	}
-	return JoinPlan{BuildLeft: false, EstCost: r*CostHashBuild + l*CostHashProbe}
-}
-
-// TrueJoinCost evaluates a build-side decision with exact input sizes.
-func TrueJoinCost(plan JoinPlan, trueLeft, trueRight float64) float64 {
-	if plan.BuildLeft {
-		return trueLeft*CostHashBuild + trueRight*CostHashProbe
-	}
-	return trueRight*CostHashBuild + trueLeft*CostHashProbe
-}
-
-// JoinRegret returns the regret of the estimator-driven build-side decision.
-func JoinRegret(left, right Table, ql, qr geom.Rect, trueLeft, trueRight float64) float64 {
-	plan := ChooseJoinBuildSide(left, right, ql, qr)
-	chosen := TrueJoinCost(plan, trueLeft, trueRight)
-	optA := TrueJoinCost(JoinPlan{BuildLeft: true}, trueLeft, trueRight)
-	optB := TrueJoinCost(JoinPlan{BuildLeft: false}, trueLeft, trueRight)
-	opt := optA
-	if optB < opt {
-		opt = optB
-	}
 	if opt <= 0 {
 		return 1
 	}

@@ -91,36 +91,6 @@ func TestTrueScanCostMatchesModel(t *testing.T) {
 	}
 }
 
-func TestJoinBuildSide(t *testing.T) {
-	small := table(funcEst(func(geom.Rect) float64 { return 100 }))
-	big := table(funcEst(func(geom.Rect) float64 { return 10000 }))
-	q := geom.MustRect([]float64{0, 0}, []float64{50, 50})
-	plan := ChooseJoinBuildSide(small, big, q, q)
-	if !plan.BuildLeft {
-		t.Error("should build on the smaller (left) input")
-	}
-	plan = ChooseJoinBuildSide(big, small, q, q)
-	if plan.BuildLeft {
-		t.Error("should build on the smaller (right) input")
-	}
-}
-
-func TestJoinRegret(t *testing.T) {
-	q := geom.MustRect([]float64{0, 0}, []float64{50, 50})
-	// Perfect estimates: regret 1.
-	exactSmall := table(funcEst(func(geom.Rect) float64 { return 100 }))
-	exactBig := table(funcEst(func(geom.Rect) float64 { return 10000 }))
-	if r := JoinRegret(exactSmall, exactBig, q, q, 100, 10000); math.Abs(r-1) > 1e-9 {
-		t.Errorf("perfect join regret = %g", r)
-	}
-	// Swapped estimates: the wrong build side costs more.
-	liarSmall := table(funcEst(func(geom.Rect) float64 { return 10000 }))
-	liarBig := table(funcEst(func(geom.Rect) float64 { return 100 }))
-	if r := JoinRegret(liarSmall, liarBig, q, q, 100, 10000); r <= 1 {
-		t.Errorf("lying join regret = %g, want > 1", r)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	p := ScanPlan{Path: IndexScan, IndexDim: 2, EstRows: 10, EstCost: 90}
 	if p.String() == "" || SeqScan.String() != "SeqScan" || IndexScan.String() != "IndexScan" {

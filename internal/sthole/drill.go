@@ -63,6 +63,22 @@ func (h *Histogram) Drill(q geom.Rect, count CountFunc) {
 	h.enforceBudget()
 }
 
+// DrillScalar drills q with scalar feedback: only the count actual of the
+// whole query is known, so each candidate hole r is credited the uniform
+// share actual · vol(q∩r)/vol(q∩root). Every candidate lies inside the root
+// box, so a q reaching past the domain still credits all of actual to the
+// part of it the histogram covers. For q inside the root box the divisor is
+// vol(q), the same product in the same order. Drill calls count only when
+// q∩root has volume, so the divisor is positive. This is the one scalar
+// split: the served feedback path, its replay and the drift candidate all
+// drill through it.
+func (h *Histogram) DrillScalar(q geom.Rect, actual float64) {
+	vol := q.IntersectionVolume(h.root.box)
+	h.Drill(q, func(r geom.Rect) float64 {
+		return actual * q.IntersectionVolume(r) / vol
+	})
+}
+
 // drillBucket processes the candidate hole of one bucket for query q.
 func (h *Histogram) drillBucket(b *Bucket, q geom.Rect, count CountFunc) {
 	if !b.box.IntersectInto(q, &h.candScratch) || h.candScratch.Volume() <= 0 {

@@ -247,20 +247,6 @@ func (h *Histogram) BucketCount() int { return h.count }
 // MaxBuckets returns the non-root bucket budget.
 func (h *Histogram) MaxBuckets() int { return h.maxBuckets }
 
-// SetMaxBuckets changes the bucket budget at run time, the operation a
-// SASH-style memory manager performs when reallocating space between
-// histograms ([18] in the paper). Shrinking below the current bucket count
-// compacts immediately via lowest-penalty merges; growing simply allows
-// future drills to keep more buckets. Budgets below 1 are rejected.
-func (h *Histogram) SetMaxBuckets(n int) error {
-	if n < 1 {
-		return fmt.Errorf("sthole: bucket budget must be >= 1, got %d", n)
-	}
-	h.maxBuckets = n
-	h.enforceBudget()
-	return nil
-}
-
 // TotalTuples returns the tuple count currently stored across all buckets.
 func (h *Histogram) TotalTuples() float64 { return h.root.subtreeFreq() }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -300,47 +299,6 @@ func TestFrozen(t *testing.T) {
 	h.Drill(rect2(0, 0, 5, 5), func(geom.Rect) float64 { return 10 })
 	if h.BucketCount() != 1 {
 		t.Error("unfrozen histogram did not learn")
-	}
-}
-
-func TestSetMaxBuckets(t *testing.T) {
-	h := MustNew(rect2(0, 0, 100, 100), 20, 1000)
-	rng := rand.New(rand.NewSource(33))
-	count := uniformCluster(rect2(20, 20, 60, 60), 1000)
-	for i := 0; i < 80; i++ {
-		c := geom.Point{rng.Float64() * 100, rng.Float64() * 100}
-		h.Drill(geom.CubeAt(c, 10, h.root.box), count)
-	}
-	if h.BucketCount() == 0 {
-		t.Fatal("no buckets after training")
-	}
-	if err := h.SetMaxBuckets(0); err == nil {
-		t.Error("budget 0 accepted")
-	}
-	// Shrink: compacts immediately.
-	if err := h.SetMaxBuckets(3); err != nil {
-		t.Fatal(err)
-	}
-	if h.BucketCount() > 3 {
-		t.Errorf("BucketCount = %d after shrinking to 3", h.BucketCount())
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Grow: future drills may use the head room.
-	if err := h.SetMaxBuckets(50); err != nil {
-		t.Fatal(err)
-	}
-	before := h.BucketCount()
-	for i := 0; i < 40; i++ {
-		c := geom.Point{rng.Float64() * 100, rng.Float64() * 100}
-		h.Drill(geom.CubeAt(c, 8, h.root.box), count)
-	}
-	if h.BucketCount() <= before {
-		t.Errorf("histogram did not grow after budget increase: %d -> %d", before, h.BucketCount())
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -91,15 +91,6 @@ func Permute(queries []geom.Rect, seed int64) []geom.Rect {
 	return out
 }
 
-// Reverse returns the workload in reverse order.
-func Reverse(queries []geom.Rect) []geom.Rect {
-	out := make([]geom.Rect, len(queries))
-	for i, q := range queries {
-		out[len(queries)-1-i] = q
-	}
-	return out
-}
-
 // savedQuery is the JSON form of one query rectangle.
 type savedQuery struct {
 	Lo []float64 `json:"lo"`

@@ -383,25 +383,11 @@ func (e *Estimator) Feedback(q Rect, actual float64) error {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	changed, err := e.drillLocked(q, uniformSplit(q, actual), actual, true, nil)
+	changed, err := e.drillLocked(q, nil, actual, nil)
 	if changed {
 		e.publishLocked()
 	}
 	return err
-}
-
-// uniformSplit is the count function scalar feedback drills with: it
-// spreads the observed actual over q uniformly, actual · vol(q∩r)/vol(q),
-// and gives all of it to every r when q has no volume. It inlines, so the
-// closure stays on the caller's stack.
-func uniformSplit(q Rect, actual float64) sthole.CountFunc {
-	vol := q.Volume()
-	return func(r Rect) float64 {
-		if vol <= 0 {
-			return actual
-		}
-		return actual * q.IntersectionVolume(r) / vol
-	}
 }
 
 // FeedbackWith refines the histogram with exact sub-rectangle counts from an
@@ -415,9 +401,12 @@ func (e *Estimator) FeedbackWith(q Rect, count func(r Rect) float64) error {
 	if q.Dims() != e.domain.Dims() {
 		return fmt.Errorf("sthist: feedback query has %d dimensions, estimator domain has %d", q.Dims(), e.domain.Dims())
 	}
+	if count == nil {
+		return fmt.Errorf("sthist: FeedbackWith needs a count function")
+	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	changed, err := e.drillLocked(q, count, 0, false, nil)
+	changed, err := e.drillLocked(q, count, 0, nil)
 	if changed {
 		e.publishLocked()
 	}
@@ -459,7 +448,7 @@ func (e *Estimator) FeedbackBatch(obs []Observation) []error {
 			errs[i] = err
 			continue
 		}
-		ch, err := e.drillLocked(q, uniformSplit(q, actual), actual, true, obs[i].Round)
+		ch, err := e.drillLocked(q, nil, actual, obs[i].Round)
 		changed = changed || ch
 		errs[i] = err
 	}
@@ -480,7 +469,7 @@ func (e *Estimator) Train(queries []Rect) {
 	for _, q := range queries {
 		// Exact counts from our own index cannot fail validation; drill
 		// errors (recovered panics) quarantine internally.
-		ch, _ := e.drillLocked(q, e.exact, 0, false, nil)
+		ch, _ := e.drillLocked(q, e.exact, 0, nil)
 		changed = changed || ch
 	}
 	if changed {
@@ -495,13 +484,14 @@ func (e *Estimator) Train(queries []Rect) {
 // exactly when it did, so steady-state rounds that drill nothing publish
 // nothing and stay allocation-free.
 //
-// actual is the observed whole-query cardinality when haveActual is true;
-// otherwise the instrumented path obtains it with one extra count(q) call
+// A nil count makes the round scalar feedback: actual is the observed
+// whole-query cardinality, and Histogram.DrillScalar splits it. Otherwise
+// the instrumented path obtains actual with one extra count(q) call
 // (exact-count feedback sources return the true value for the full query).
 // The round's detail goes to the recorder and, when out is non-nil, to out.
 // With neither the round takes the lean path: no timestamps, no
 // pre-estimate, no allocations.
-func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, haveActual bool, out *Round) (changed bool, err error) {
+func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, out *Round) (changed bool, err error) {
 	rec := e.rec
 	detail := rec != nil || out != nil
 	drills0 := e.work.Stats.Drills
@@ -513,7 +503,7 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 	if detail {
 		start = time.Now()
 		preEst = e.work.Estimate(q)
-		if !haveActual {
+		if count != nil {
 			actual = count(q)
 		}
 		e.mergeScratch = e.mergeScratch[:0]
@@ -535,7 +525,11 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 		}
 		e.syncCountersLocked()
 	}()
-	e.work.Drill(q, count)
+	if count == nil {
+		e.work.DrillScalar(q, actual)
+	} else {
+		e.work.Drill(q, count)
+	}
 	if e.validateEvery > 0 {
 		e.sinceValidate++
 		if e.sinceValidate >= e.validateEvery {
@@ -561,16 +555,11 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 		if skipped < 0 {
 			skipped = 0
 		}
-		total := float64(e.idx.Total())
-		triv := 0.0
-		if v := e.domain.Volume(); v > 0 {
-			triv = total * e.domain.IntersectionVolume(q) / v
-		}
 		round := Round{
 			Query:    q,
 			Estimate: preEst,
 			Actual:   actual,
-			Trivial:  triv,
+			Trivial:  metrics.TrivialEstimator{Domain: e.domain, Total: float64(e.idx.Total())}.Estimate(q),
 			Drills:   drills,
 			Skipped:  skipped,
 			Merges:   e.mergeScratch,

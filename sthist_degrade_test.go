@@ -51,6 +51,9 @@ func TestFeedbackRejectsInvalidInput(t *testing.T) {
 			t.Errorf("%s: ValidateFeedback accepted", c.name)
 		}
 	}
+	if err := est.FeedbackWith(q, nil); err == nil {
+		t.Error("FeedbackWith without a count function accepted")
+	}
 	if err := est.Feedback(q, est.TrueCount(q)); err != nil {
 		t.Errorf("valid feedback rejected: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"sthist/internal/datagen"
 	"sthist/internal/workload"
 )
 
@@ -111,6 +112,66 @@ func TestFeedbackImprovesEstimates(t *testing.T) {
 	after := math.Abs(est.Estimate(q) - est.TrueCount(q))
 	if after >= before {
 		t.Errorf("feedback did not improve the estimate: %g -> %g", before, after)
+	}
+}
+
+// TestFeedbackPastDomainKeepsMass drives scalar feedback whose boxes reach
+// past the domain: to +Inf, to -1e300, or ten domain sides out. Every
+// candidate hole lies inside the domain, so each box must drill exactly as
+// its part inside the domain does, leaving byte-equal saved trees. Dividing
+// the count by the whole box's volume instead credits only the share inside
+// the domain, and nothing once that volume overflows.
+func TestFeedbackPastDomainKeepsMass(t *testing.T) {
+	for _, ds := range []*datagen.Dataset{datagen.Cross(0.02, 1), datagen.SkySim(0.02, 1)} {
+		t.Run(ds.Name, func(t *testing.T) {
+			open := func() *Estimator {
+				est, err := Open(ds.Table, Options{Buckets: 100, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return est
+			}
+			wide, clipped := open(), open()
+			dom := wide.Domain()
+			qs := workload.MustGenerate(dom, workload.Config{VolumeFraction: 0.05, N: 400, Seed: 11}, ds.Table)
+			rng := rand.New(rand.NewSource(12))
+			for _, q := range qs {
+				w := q.Clone()
+				for d := range w.Lo {
+					switch rng.Intn(4) {
+					case 0:
+						w.Hi[d] = math.Inf(1)
+					case 1:
+						w.Lo[d] = -1e300
+					case 2:
+						w.Lo[d] -= 10 * dom.Side(d)
+						w.Hi[d] += 10 * dom.Side(d)
+					}
+				}
+				in, ok := w.Intersect(dom)
+				if !ok {
+					t.Fatalf("%v misses the domain", w)
+				}
+				actual := wide.TrueCount(in)
+				if err := wide.Feedback(w, actual); err != nil {
+					t.Fatal(err)
+				}
+				if err := clipped.Feedback(in, actual); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var a, b bytes.Buffer
+			if err := wide.SaveHistogram(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := clipped.SaveHistogram(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("boxes past the domain drilled a different tree: total mass %g, clipped %g",
+					wide.StatsSnapshot().TotalTuples, clipped.StatsSnapshot().TotalTuples)
+			}
+		})
 	}
 }
 

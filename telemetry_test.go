@@ -115,21 +115,28 @@ func TestFeedbackBatchReportsRoundDetail(t *testing.T) {
 // TestFeedbackSteadyStateZeroAllocs asserts the zero-allocation invariant
 // survives the telemetry hooks: a steady-state feedback round (every
 // candidate drill skipped, amortized validation off) performs zero heap
-// allocations, with or without a recorder attached.
+// allocations, with or without a recorder attached. The scalar cases pin
+// the same for Feedback, whose uniform split is a closure built by
+// Histogram.DrillScalar: a frozen tree makes Drill return at once, so
+// anything the round allocates comes from the path around it.
 func TestFeedbackSteadyStateZeroAllocs(t *testing.T) {
+	open := func(t *testing.T, withRecorder bool) (*Estimator, []Rect) {
+		ds := datagen.Cross(0.04, 1)
+		est, err := Open(ds.Table, Options{Buckets: 100, Seed: 1, ValidateEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if withRecorder {
+			est.SetRecorder(telemetry.New(telemetry.Options{}).Table("cross"))
+		}
+		qs := workload.MustGenerate(ds.Domain, workload.Config{
+			VolumeFraction: 0.01, N: 64, Seed: 7,
+		}, ds.Table)
+		return est, qs
+	}
 	for _, withRecorder := range []bool{false, true} {
 		t.Run(fmt.Sprintf("recorder=%v", withRecorder), func(t *testing.T) {
-			ds := datagen.Cross(0.04, 1)
-			est, err := Open(ds.Table, Options{Buckets: 100, Seed: 1, ValidateEvery: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if withRecorder {
-				est.SetRecorder(telemetry.New(telemetry.Options{}).Table("cross"))
-			}
-			qs := workload.MustGenerate(ds.Domain, workload.Config{
-				VolumeFraction: 0.01, N: 64, Seed: 7,
-			}, ds.Table)
+			est, qs := open(t, withRecorder)
 			steady := func(r Rect) float64 { return est.work.Estimate(r) }
 			for _, q := range qs { // converge + warm scratch buffers
 				if err := est.FeedbackWith(q, steady); err != nil {
@@ -145,6 +152,25 @@ func TestFeedbackSteadyStateZeroAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state feedback allocates %g times per round, want 0", allocs)
+			}
+		})
+		t.Run(fmt.Sprintf("scalar/recorder=%v", withRecorder), func(t *testing.T) {
+			est, qs := open(t, withRecorder)
+			est.work.SetFrozen(true)
+			actuals := make([]float64, len(qs))
+			for i, q := range qs {
+				actuals[i] = est.TrueCount(q)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				j := i % len(qs)
+				if err := est.Feedback(qs[j], actuals[j]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("scalar feedback on a frozen tree allocates %g times per round, want 0", allocs)
 			}
 		})
 	}
