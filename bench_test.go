@@ -226,9 +226,10 @@ func BenchmarkSkyTrueCountRound(b *testing.B) {
 			qs := workload.MustGenerate(est.Domain(), workload.Config{
 				VolumeFraction: 0.01, Centers: workload.DataCenters, N: 64, Seed: 7,
 			}, ds.Table)
+			truth := exactCounts(b, ds.Table)
 			actuals := make([]float64, len(qs))
 			for i, q := range qs {
-				actuals[i] = est.TrueCount(q)
+				actuals[i] = truth(q)
 			}
 			for i, q := range qs {
 				if err := est.Feedback(q, actuals[i]); err != nil {

@@ -89,6 +89,12 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fmt.Fprintf(out, "loaded %d tuples, %d columns (%s); %d clusters found, %d initial buckets (%v)\n",
 		tab.Len(), tab.Dims(), strings.Join(tab.Names(), ", "),
 		len(est.Clusters()), est.Histogram().BucketCount(), time.Since(start).Round(time.Millisecond))
+	var truth func(sthist.Rect) float64
+	if *verify {
+		if truth, err = sthist.ExactCounts(tab); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintln(out, `type a predicate (e.g. "x1 BETWEEN 100 AND 300"), \buckets, \stats, \save <path>, \load <path> or \q`)
 
 	sc := bufio.NewScanner(in)
@@ -138,11 +144,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		t0 := time.Now()
 		approx := est.Estimate(q)
 		dt := time.Since(t0)
-		if *verify {
-			truth := est.TrueCount(q)
+		if truth != nil {
 			fmt.Fprintf(out, "approx COUNT(*) = %.0f   (true %.0f, sel %.4f, %v)\n",
-				approx, truth, est.Selectivity(q), dt.Round(time.Microsecond))
-			est.FeedbackWith(q, est.TrueCount)
+				approx, truth(q), est.Selectivity(q), dt.Round(time.Microsecond))
+			est.FeedbackWith(q, truth)
 		} else {
 			fmt.Fprintf(out, "approx COUNT(*) = %.0f   (sel %.4f, %v)\n", approx, est.Selectivity(q), dt.Round(time.Microsecond))
 		}

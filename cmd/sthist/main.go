@@ -143,6 +143,10 @@ func runTrace(n int, cfg experiment.Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	truth, err := sthist.ExactCounts(ds.Table)
+	if err != nil {
+		return err
+	}
 	tel := telemetry.New(telemetry.Options{})
 	rec := tel.Table(ds.Name)
 	est.SetRecorder(rec)
@@ -156,7 +160,7 @@ func runTrace(n int, cfg experiment.Config, w io.Writer) error {
 	n = min(n, len(queries))
 	last := make([]sthist.Round, n) // the newest n rounds, round i in slot i%n
 	for i, q := range queries {
-		obs := []sthist.Observation{{Query: q, Actual: est.TrueCount(q), Round: &last[i%n]}}
+		obs := []sthist.Observation{{Query: q, Actual: truth(q), Round: &last[i%n]}}
 		if err := est.FeedbackBatch(obs)[0]; err != nil {
 			return err
 		}

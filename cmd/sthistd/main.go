@@ -199,6 +199,12 @@ func setup(args []string) (*daemon, error) {
 	if *batchMax < 1 {
 		return nil, fmt.Errorf("bad -feedback-batch %d (want >= 1)", *batchMax)
 	}
+	if *ckptInterval <= 0 {
+		return nil, fmt.Errorf("bad -checkpoint-interval %v (want > 0)", *ckptInterval)
+	}
+	if *ckptRecords < 1 {
+		return nil, fmt.Errorf("bad -checkpoint-records %d (want >= 1)", *ckptRecords)
+	}
 	if *traceSample < 0 || *traceSample > 1 {
 		return nil, fmt.Errorf("bad -trace-sample %v (want 0..1)", *traceSample)
 	}

@@ -31,10 +31,16 @@ func TestSetupValidation(t *testing.T) {
 		"empty-name":       {"-table", "=x"},
 		"unknown-dataset":  {"-table", "t=@nope:1"},
 		"bad-scale":        {"-table", "t=@cross:x"},
+		"zero-scale":       {"-table", "t=@cross:0"},
+		"negative-scale":   {"-table", "t=@cross:-1"},
+		"nan-scale":        {"-table", "t=@cross:NaN"},
 		"missing-file":     {"-table", "t=/no/such.csv"},
 		"bad-fsync":        {"-table", "t=@cross:0.02", "-fsync", "sometimes"},
 		"bad-queue-depth":  {"-table", "t=@cross:0.02", "-feedback-queue", "0"},
 		"bad-batch-max":    {"-table", "t=@cross:0.02", "-feedback-batch", "0"},
+		"zero-ckpt-every":  {"-table", "t=@cross:0.02", "-checkpoint-interval", "0"},
+		"neg-ckpt-every":   {"-table", "t=@cross:0.02", "-checkpoint-interval", "-1s"},
+		"zero-ckpt-recs":   {"-table", "t=@cross:0.02", "-checkpoint-records", "0"},
 		"drift-sans-telem": {"-table", "t=@cross:0.02", "-drift", "-telemetry=false"},
 		"bad-reseed-ratio": {"-table", "t=@cross:0.02", "-drift", "-reseed-ratio", "2"},
 		"bad-drift-floor":  {"-table", "t=@cross:0.02", "-drift", "-drift-reservoir", "4", "-drift-min-rounds", "1"},

@@ -8,8 +8,8 @@ import (
 	"sthist"
 )
 
-// ExampleOpen builds an estimator over a tiny table and asks for a
-// selectivity estimate.
+// ExampleOpen builds an estimator over a tiny table, and the exact counts a
+// simulation checks its estimates against.
 func ExampleOpen() {
 	tab, err := sthist.NewTable("x", "y")
 	if err != nil {
@@ -25,13 +25,17 @@ func ExampleOpen() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	truth, err := sthist.ExactCounts(tab)
+	if err != nil {
+		log.Fatal(err)
+	}
 	q, err := sthist.NewRect([]float64{0, 0}, []float64{9, 9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("true count in the block: %.0f\n", est.TrueCount(q))
+	fmt.Printf("true count in the block: %.0f, estimated: %.2f\n", truth(q), est.Estimate(q))
 	// Output:
-	// true count in the block: 100
+	// true count in the block: 100, estimated: 0.82
 }
 
 // ExampleEstimator_Feedback shows the self-tuning loop: estimate, execute,
@@ -56,9 +60,9 @@ func ExampleEstimator_Feedback() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth := est.TrueCount(q)
+	truth := 100.0 // in a DBMS: the executed query's row count
 	before := est.Estimate(q)
-	est.Feedback(q, truth) // in a DBMS: the executed row count
+	est.Feedback(q, truth)
 	after := est.Estimate(q)
 	fmt.Printf("feedback improved the estimate: %v\n", abs(after-truth) < abs(before-truth))
 	// Output:

@@ -89,6 +89,10 @@ func run(w io.Writer) error {
 	qs := workload.MustGenerate(ds.Domain, workload.Config{
 		VolumeFraction: 0.01, N: 400, Seed: 7,
 	}, ds.Table)
+	truth, err := sthist.ExactCounts(ds.Table)
+	if err != nil {
+		return err
+	}
 	rec := tel.Table(ds.Name)
 	fmt.Fprintf(w, "rolling NAE over the last %d rounds (Eq. 10), sampled as the histogram learns:\n", 100)
 	for i, q := range qs {
@@ -96,7 +100,7 @@ func run(w io.Writer) error {
 			"table":  ds.Name,
 			"lo":     q.Lo,
 			"hi":     q.Hi,
-			"actual": est.TrueCount(q),
+			"actual": truth(q),
 		})
 		if err != nil {
 			return err

@@ -79,8 +79,12 @@ func run(w io.Writer) error {
 		}
 		train = append(train, q)
 	}
-	initialized.Train(train)
-	uninitialized.Train(train)
+	truth, err := sthist.ExactCounts(tab)
+	if err != nil {
+		return err
+	}
+	initialized.Train(train, truth)
+	uninitialized.Train(train, truth)
 
 	queries := []struct {
 		name string
@@ -102,12 +106,12 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		truth := initialized.TrueCount(r)
+		want := truth(r)
 		ei := initialized.Estimate(r)
 		eu := uninitialized.Estimate(r)
 		ea := avi.Estimate(r)
 		fmt.Fprintf(w, "%-42s %10.0f %10.0f %10.0f %10.0f %9.1f %9.1f %9.1f\n",
-			q.name, truth, ei, eu, ea, errFactor(ei, truth), errFactor(eu, truth), errFactor(ea, truth))
+			q.name, want, ei, eu, ea, errFactor(ei, want), errFactor(eu, want), errFactor(ea, want))
 	}
 	fmt.Fprintln(w, "\n(xerr is the multiplicative error max(est,true)/min(est,true); optimizers live and die by it;")
 	fmt.Fprintln(w, " a plan flips from index seek to scan when the estimate crosses ~"+fmt.Sprintf("%.0f", 0.01*total)+" rows)")

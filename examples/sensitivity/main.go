@@ -22,6 +22,10 @@ func run(w io.Writer) error {
 
 	train := workload.MustGenerate(ds.Domain, workload.Config{VolumeFraction: 0.01, N: 120, Seed: 1}, nil)
 	eval := workload.MustGenerate(ds.Domain, workload.Config{VolumeFraction: 0.01, N: 300, Seed: 2}, nil)
+	truth, err := sthist.ExactCounts(ds.Table)
+	if err != nil {
+		return err
+	}
 
 	trainAndEval := func(initialized bool, queries []sthist.Rect) (float64, error) {
 		opts := sthist.Options{Buckets: 60, Seed: 5, Domain: ds.Domain}
@@ -35,8 +39,8 @@ func run(w io.Writer) error {
 		if err != nil {
 			return 0, err
 		}
-		est.Train(queries)
-		return est.NormalizedError(eval)
+		est.Train(queries, truth)
+		return est.NormalizedError(eval, truth)
 	}
 
 	const permutations = 8

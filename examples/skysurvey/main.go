@@ -58,14 +58,18 @@ func run(w io.Writer) error {
 	}
 	train := workload.MustGenerate(ds.Domain, workload.Config{VolumeFraction: 0.01, N: 300, Seed: 10}, nil)
 	eval := workload.MustGenerate(ds.Domain, workload.Config{VolumeFraction: 0.01, N: 300, Seed: 11}, nil)
-	est.Train(train)
-	uninit.Train(train)
-
-	ni, err := est.NormalizedError(eval)
+	truth, err := sthist.ExactCounts(ds.Table)
 	if err != nil {
 		return err
 	}
-	nu, err := uninit.NormalizedError(eval)
+	est.Train(train, truth)
+	uninit.Train(train, truth)
+
+	ni, err := est.NormalizedError(eval, truth)
+	if err != nil {
+		return err
+	}
+	nu, err := uninit.NormalizedError(eval, truth)
 	if err != nil {
 		return err
 	}
@@ -88,7 +92,7 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "  q%d: approx=%8.0f true=%8.0f\n", i, est.Estimate(q), est.TrueCount(q))
+		fmt.Fprintf(w, "  q%d: approx=%8.0f true=%8.0f\n", i, est.Estimate(q), truth(q))
 	}
 	return nil
 }

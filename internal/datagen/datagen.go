@@ -416,8 +416,14 @@ func ParticleSim(scale float64, seed int64) *Dataset {
 }
 
 // ByName returns the named dataset generator output. Recognized names:
-// cross, cross3d, cross4d, cross5d, gauss, sky, particle.
+// cross, cross2d, cross3d, cross4d, cross5d, gauss, sky, particle, cars. The
+// scale must be finite and positive: the generators keep one tuple per
+// cluster however small it is, so a zero or negative scale would yield a
+// table of a few tuples instead of an error.
 func ByName(name string, scale float64, seed int64) (*Dataset, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("datagen: scale %v is not finite and positive", scale)
+	}
 	switch name {
 	case "cross", "cross2d":
 		return Cross(scale, seed), nil

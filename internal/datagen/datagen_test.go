@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"math"
 	"testing"
 
 	"sthist/internal/geom"
@@ -185,6 +186,11 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope", 1, 1); err == nil {
 		t.Error("unknown dataset accepted")
+	}
+	for _, scale := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := ByName("cross", scale, 1); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
 	}
 }
 

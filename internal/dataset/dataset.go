@@ -77,7 +77,8 @@ func (t *Table) Len() int {
 // Names returns the column names. The slice must not be modified.
 func (t *Table) Names() []string { return t.names }
 
-// Append adds one tuple. The tuple length must match the schema.
+// Append adds one tuple. The tuple length must match the schema, and no
+// value may be NaN. A rejected tuple leaves the table unchanged.
 func (t *Table) Append(tuple []float64) error {
 	if len(tuple) != len(t.cols) {
 		return fmt.Errorf("dataset: tuple has %d values, schema has %d columns", len(tuple), len(t.cols))
@@ -86,6 +87,8 @@ func (t *Table) Append(tuple []float64) error {
 		if math.IsNaN(v) {
 			return fmt.Errorf("dataset: NaN value in column %q", t.names[d])
 		}
+	}
+	for d, v := range tuple {
 		t.cols[d] = append(t.cols[d], v)
 	}
 	return nil

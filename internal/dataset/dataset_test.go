@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -49,6 +50,36 @@ func TestAppendAndAccess(t *testing.T) {
 	p := tab.Point(0)
 	if p[0] != 1 || p[1] != 2 {
 		t.Errorf("Point = %v", p)
+	}
+}
+
+// TestRejectedAppendLeavesTableUnchanged appends tuples with a NaN in each
+// column in turn, and one of the wrong width: each is rejected, and no
+// column grows, so the table never turns ragged.
+func TestRejectedAppendLeavesTableUnchanged(t *testing.T) {
+	tab := MustNew("a", "b", "c")
+	tab.MustAppend([]float64{1, 2, 3})
+	for _, bad := range [][]float64{
+		{math.NaN(), 5, 6},
+		{4, math.NaN(), 6},
+		{4, 5, math.NaN()},
+		{4, 5},
+	} {
+		if err := tab.Append(bad); err == nil {
+			t.Errorf("Append(%v) accepted", bad)
+		}
+		if tab.Len() != 1 {
+			t.Errorf("after Append(%v): Len = %d, want 1", bad, tab.Len())
+		}
+		for d := range tab.Dims() {
+			if n := len(tab.Column(d)); n != 1 {
+				t.Errorf("after Append(%v): column %d holds %d values, want 1", bad, d, n)
+			}
+		}
+	}
+	tab.MustAppend([]float64{4, 5, 6})
+	if got := tab.Row(1, nil); got[0] != 4 || got[1] != 5 || got[2] != 6 {
+		t.Errorf("Row(1) = %v after the rejected appends, want [4 5 6]", got)
 	}
 }
 

@@ -38,18 +38,19 @@ func (s *ScanCounter) Count(r geom.Rect) int { return s.tab.CountIn(r) }
 // KDTree is a static k-d tree over the rows of a table, with per-node
 // subtree counts and bounding boxes for fast orthogonal range counting.
 //
-// Its layout is flat. The points are one row-major []float64, permuted into
-// tree order so that every node's points are one run of rows. The nodes are
-// int32 row ranges in pre-order, and their boxes sit in one []float64.
+// It indexes the table in place. It keeps the table's column slices and an
+// int32 permutation of the row ids in tree order, so that every node's rows
+// are one run of the permutation. The nodes are int32 ranges of it in
+// pre-order, and their boxes sit in one []float64.
 type KDTree struct {
-	dims   int
-	coords []float64 // the rows, dims values each, in tree order
-	nodes  []kdNode  // in pre-order: nodes[0] is the root
-	boxes  []float64 // node i's box: dims lows from 2*dims*i, then dims highs
+	cols   [][]float64 // the table's columns, as long as the table was at the build
+	perm   []int32     // row ids in tree order
+	nodes  []kdNode    // in pre-order: nodes[0] is the root
+	boxes  []float64   // node i's box: dims lows from 2*dims*i, then dims highs
 	bounds geom.Rect
 }
 
-// kdNode covers rows [start, end). A leaf has right < 0; an internal node's
+// kdNode covers perm[start:end]. A leaf has right < 0; an internal node's
 // left child is the node after it and its right child is nodes[right].
 type kdNode struct {
 	start, end, right int32
@@ -67,54 +68,56 @@ const sampleSize = 63
 // median directly: it costs less there than sorting a sample.
 const smallSplit = 4 * sampleSize
 
-// BuildKDTree indexes all rows of tab. The table contents are copied, so the
-// index remains valid if the table grows afterwards (the new rows are simply
-// not indexed).
+// BuildKDTree indexes all rows of tab. The tree reads tab's columns in place
+// and copies no values: rows appended to tab afterwards are not indexed, and
+// no value of tab may be overwritten while the tree is in use.
 func BuildKDTree(tab *dataset.Table) (*KDTree, error) {
 	n := tab.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("index: cannot index an empty table")
 	}
 	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("index: %d rows exceed the tree's int32 row ranges", n)
+		return nil, fmt.Errorf("index: %d rows exceed the tree's int32 row ids", n)
 	}
 	dims := tab.Dims()
-	t := &KDTree{dims: dims, coords: make([]float64, n*dims)}
-	for d := 0; d < dims; d++ {
-		for i, v := range tab.Column(d) {
-			t.coords[i*dims+d] = v
-		}
+	t := &KDTree{cols: make([][]float64, dims), perm: make([]int32, n)}
+	for d := range t.cols {
+		t.cols[d] = tab.Column(d)[:n:n]
+	}
+	for i := range t.perm {
+		t.perm[i] = int32(i)
 	}
 	// A tree split at exact medians has about 4n/leafSize nodes.
 	t.nodes = make([]kdNode, 0, 4*n/leafSize+1)
 	t.boxes = make([]float64, 0, cap(t.nodes)*2*dims)
-	b := &builder{KDTree: t, lo: make([]float64, dims), hi: make([]float64, dims), sample: make([]float64, sampleSize)}
+	b := &builder{KDTree: t, sample: make([]float64, sampleSize)}
 	b.build(0, n, 0)
 	lo, hi := t.box(0)
 	t.bounds = geom.Rect{Lo: slices.Clone(lo), Hi: slices.Clone(hi)}
 	return t, nil
 }
 
-// builder holds the working buffers of one BuildKDTree.
+// builder holds the working buffer of one BuildKDTree.
 type builder struct {
 	*KDTree
-	lo, hi, sample []float64 // split's sample extents and axis values
+	sample []float64 // split's sampled axis values
 }
 
-// build appends the subtree over rows [start, end) in pre-order and returns
-// its id. The node's box is filled once its subtree is built: from the rows
-// of a leaf, and as the union of an internal node's children's boxes.
+// build appends the subtree over positions [start, end) of the permutation
+// in pre-order and returns its id. The node's box is filled once its subtree
+// is built: from the rows of a leaf, and as the union of an internal node's
+// children's boxes.
 func (b *builder) build(start, end, depth int) int32 {
 	id := int32(len(b.nodes))
 	b.nodes = append(b.nodes, kdNode{start: int32(start), end: int32(end), right: -1})
-	b.boxes = slices.Grow(b.boxes, 2*b.dims)[:len(b.boxes)+2*b.dims]
+	b.boxes = slices.Grow(b.boxes, 2*b.dims())[:len(b.boxes)+2*b.dims()]
 	if end-start <= leafSize {
 		lo, hi := b.box(id)
-		copy(lo, b.row(start))
-		copy(hi, lo)
-		for i := start + 1; i < end; i++ {
-			for d, v := range b.row(i) {
-				lo[d], hi[d] = min(lo[d], v), max(hi[d], v)
+		rows := b.perm[start:end]
+		for d, c := range b.cols {
+			lo[d], hi[d] = c[rows[0]], c[rows[0]]
+			for _, r := range rows[1:] {
+				lo[d], hi[d] = min(lo[d], c[r]), max(hi[d], c[r])
 			}
 		}
 		return id
@@ -132,10 +135,10 @@ func (b *builder) build(start, end, depth int) int32 {
 	return id
 }
 
-// split reorders rows [start, end) into two runs of at least a quarter of
-// them each, every row of the first at most every row of the second on one
-// axis, and returns where the second begins. The axis is the dimension a
-// strided sample of the rows spans widest (the depth-cycled one when the
+// split reorders positions [start, end) into two runs of at least a quarter
+// of them each, every row of the first at most every row of the second on
+// one axis, and returns where the second begins. The axis is the dimension
+// a strided sample of the rows spans widest (the depth-cycled one when the
 // sample spans none). One partition pass at the sample's median splits the
 // rows; quickselect splits them at their exact median instead when either
 // side would get under a quarter of them, and on nodes of at most
@@ -143,26 +146,23 @@ func (b *builder) build(start, end, depth int) int32 {
 func (b *builder) split(start, end, depth int) int {
 	n := end - start
 	s := min(n, sampleSize)
-	lo, hi := b.lo, b.hi[:len(b.lo)]
-	copy(lo, b.row(start))
-	copy(hi, lo)
-	for k := 1; k < s; k++ {
-		row := b.row(start + k*n/s)[:len(lo)]
-		for d, v := range row {
-			lo[d], hi[d] = min(lo[d], v), max(hi[d], v)
+	axis, widest := depth%b.dims(), 0.0
+	for d, c := range b.cols {
+		lo := c[b.perm[start]]
+		hi := lo
+		for k := 1; k < s; k++ {
+			v := c[b.perm[start+k*n/s]]
+			lo, hi = min(lo, v), max(hi, v)
 		}
-	}
-	axis, widest := depth%b.dims, 0.0
-	for d := range lo {
-		if w := hi[d] - lo[d]; w > widest {
+		if w := hi - lo; w > widest {
 			axis, widest = d, w
 		}
 	}
 	mid := start + n/2
 	if n > smallSplit {
-		sample := b.sample[:s]
+		sample, c := b.sample[:s], b.cols[axis]
 		for k := range sample {
-			sample[k] = b.row(start + k*n/s)[axis]
+			sample[k] = c[b.perm[start+k*n/s]]
 		}
 		slices.Sort(sample)
 		if m := b.partition(start, end, axis, sample[s/2]); min(m-start, end-m) >= n/4 {
@@ -173,64 +173,54 @@ func (b *builder) split(start, end, depth int) int {
 	return mid
 }
 
-// row returns row i's values.
-func (t *KDTree) row(i int) []float64 {
-	return t.coords[i*t.dims : (i+1)*t.dims : (i+1)*t.dims]
-}
+// dims returns the number of indexed columns.
+func (t *KDTree) dims() int { return len(t.cols) }
 
 // box returns node id's low and high corners.
 func (t *KDTree) box(id int32) (lo, hi []float64) {
-	k := 2 * t.dims * int(id)
-	return t.boxes[k : k+t.dims : k+t.dims], t.boxes[k+t.dims : k+2*t.dims : k+2*t.dims]
+	dims := t.dims()
+	k := 2 * dims * int(id)
+	return t.boxes[k : k+dims : k+dims], t.boxes[k+dims : k+2*dims : k+2*dims]
 }
 
-// swap exchanges rows i and j.
-func (t *KDTree) swap(i, j int) {
-	a, b := t.row(i), t.row(j)
-	for d := range a {
-		a[d], b[d] = b[d], a[d]
-	}
-}
-
-// partition moves the rows of [start, end) whose axis value is below pivot
-// before the others and returns where the others begin.
+// partition moves the rows of positions [start, end) whose axis value is
+// below pivot before the others and returns where the others begin.
 func (t *KDTree) partition(start, end, axis int, pivot float64) int {
-	c, dims := t.coords, t.dims
-	at := func(i int) float64 { return c[i*dims+axis] }
+	c, p := t.cols[axis], t.perm
 	i, j := start, end-1
 	for {
-		for i <= j && at(i) < pivot {
+		for i <= j && c[p[i]] < pivot {
 			i++
 		}
-		for i <= j && !(at(j) < pivot) {
+		for i <= j && !(c[p[j]] < pivot) {
 			j--
 		}
 		if i >= j {
 			return i
 		}
-		t.swap(i, j)
+		p[i], p[j] = p[j], p[i]
 		i, j = i+1, j-1
 	}
 }
 
-// nthElement partially sorts rows [start, end) so that row k holds the
-// (k-start)-th smallest axis value, with smaller values before it and
-// larger after (quickselect).
+// nthElement partially sorts positions [start, end) so that position k
+// holds the row with the (k-start)-th smallest axis value, with smaller
+// values before it and larger after (quickselect).
 func (t *KDTree) nthElement(start, end, k, axis int) {
-	c, dims := t.coords, t.dims
-	at := func(i int) float64 { return c[i*dims+axis] }
+	c, p := t.cols[axis], t.perm
+	at := func(i int) float64 { return c[p[i]] }
 	lo, hi := start, end-1
 	for lo < hi {
 		// Median-of-three pivot for resilience on sorted inputs.
 		mid := lo + (hi-lo)/2
 		if at(mid) < at(lo) {
-			t.swap(mid, lo)
+			p[mid], p[lo] = p[lo], p[mid]
 		}
 		if at(hi) < at(lo) {
-			t.swap(hi, lo)
+			p[hi], p[lo] = p[lo], p[hi]
 		}
 		if at(hi) < at(mid) {
-			t.swap(hi, mid)
+			p[hi], p[mid] = p[mid], p[hi]
 		}
 		pivot := at(mid)
 		i, j := lo, hi
@@ -242,7 +232,7 @@ func (t *KDTree) nthElement(start, end, k, axis int) {
 				j--
 			}
 			if i <= j {
-				t.swap(i, j)
+				p[i], p[j] = p[j], p[i]
 				i++
 				j--
 			}
@@ -261,7 +251,7 @@ func (t *KDTree) nthElement(start, end, k, axis int) {
 // inclusive); 0 when r's dimensionality differs from the tree's. It does
 // not allocate.
 func (t *KDTree) Count(r geom.Rect) int {
-	if r.Dims() != t.dims {
+	if r.Dims() != t.dims() {
 		return 0
 	}
 	return t.count(0, r.Lo, r.Hi)
@@ -284,10 +274,14 @@ func (t *KDTree) count(id int32, lo, hi []float64) int {
 	}
 	if n.right < 0 {
 		c := 0
+		// Slicing lo and hi to the column count lets the compiler drop
+		// their bounds checks from the scan.
+		cols := t.cols
+		lo, hi := lo[:len(cols)], hi[:len(cols)]
 	rows:
-		for i := int(n.start); i < int(n.end); i++ {
-			for d, v := range t.row(i) {
-				if v < lo[d] || v > hi[d] {
+		for _, p := range t.perm[n.start:n.end] {
+			for d, col := range cols {
+				if v := col[p]; v < lo[d] || v > hi[d] {
 					continue rows
 				}
 			}
@@ -299,7 +293,7 @@ func (t *KDTree) count(id int32, lo, hi []float64) int {
 }
 
 // Total returns the number of indexed points.
-func (t *KDTree) Total() int { return len(t.coords) / t.dims }
+func (t *KDTree) Total() int { return len(t.perm) }
 
 // Bounds returns the bounding box of the indexed points.
 func (t *KDTree) Bounds() geom.Rect { return t.bounds }

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -119,21 +120,27 @@ func TestKDTreeDuplicatePoints(t *testing.T) {
 	}
 }
 
-// flatTree wraps rows of points in a tree with no nodes, for the tests of
-// the row-reordering helpers.
+// flatTree wraps rows of points in a tree with no nodes and the identity
+// permutation, for the tests of the row-reordering helpers.
 func flatTree(pts [][]float64) *KDTree {
-	t := &KDTree{dims: len(pts[0])}
-	for _, p := range pts {
-		t.coords = append(t.coords, p...)
+	t := &KDTree{cols: make([][]float64, len(pts[0]))}
+	for i, p := range pts {
+		for d, v := range p {
+			t.cols[d] = append(t.cols[d], v)
+		}
+		t.perm = append(t.perm, int32(i))
 	}
 	return t
 }
 
-// verifyPartition reports whether every row before row k is at most row k
-// and every row after it at least row k on axis.
+// at returns the value on axis d of the row at position i in tree order.
+func (t *KDTree) at(i, d int) float64 { return t.cols[d][t.perm[i]] }
+
+// verifyPartition reports whether every row before position k is at most
+// the row at k and every row after it at least that row on axis.
 func verifyPartition(t *KDTree, k, axis int) bool {
 	for i := range t.Total() {
-		if (i < k && t.row(i)[axis] > t.row(k)[axis]) || (i > k && t.row(i)[axis] < t.row(k)[axis]) {
+		if (i < k && t.at(i, axis) > t.at(k, axis)) || (i > k && t.at(i, axis) < t.at(k, axis)) {
 			return false
 		}
 	}
@@ -194,7 +201,7 @@ func TestSplitPartition(t *testing.T) {
 				pts[i] = row(i)
 			}
 			kt := flatTree(pts)
-			b := &builder{KDTree: kt, lo: make([]float64, 3), hi: make([]float64, 3), sample: make([]float64, sampleSize)}
+			b := &builder{KDTree: kt, sample: make([]float64, sampleSize)}
 			mid := b.split(0, n, trial)
 			if min(mid, n-mid) < n/4 {
 				t.Fatalf("%s n=%d: split at %d leaves a side under a quarter", name, n, mid)
@@ -203,10 +210,10 @@ func TestSplitPartition(t *testing.T) {
 			for axis := 0; axis < 3 && !ok; axis++ {
 				lo, hi := math.Inf(-1), math.Inf(1)
 				for i := 0; i < mid; i++ {
-					lo = max(lo, kt.row(i)[axis])
+					lo = max(lo, kt.at(i, axis))
 				}
 				for i := mid; i < n; i++ {
-					hi = min(hi, kt.row(i)[axis])
+					hi = min(hi, kt.at(i, axis))
 				}
 				ok = lo <= hi
 			}
@@ -269,6 +276,138 @@ func TestKDTreeDepthBound(t *testing.T) {
 		}
 		t.Logf("%s: %d rows, depth %d (bound %d)", name, tab.Len(), kt.Depth(), bound)
 	}
+}
+
+// TestKDTreeIgnoresRowsAppendedLater appends copies of indexed rows to the
+// table after the build. The tree keeps counting only the rows it indexed,
+// whether the appends land in spare capacity from Grow, inside the backing
+// arrays the tree reads, or move the columns to new arrays.
+func TestKDTreeIgnoresRowsAppendedLater(t *testing.T) {
+	for _, spare := range []bool{true, false} {
+		tab := randomTable(1000, 3, 61)
+		if spare {
+			tab.Grow(500)
+		}
+		kt, err := BuildKDTree(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := &tab.Column(0)[0]
+		for i := 0; i < 500; i++ {
+			tab.MustAppend(tab.Row(i, nil))
+		}
+		if moved := &tab.Column(0)[0] != first; moved == spare {
+			t.Fatalf("spare=%v: appends moved the columns: %v", spare, moved)
+		}
+		ref, err := NewScanCounter(randomTable(1000, 3, 61))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kt.Total() != 1000 {
+			t.Errorf("spare=%v: Total = %d after appends, want 1000", spare, kt.Total())
+		}
+		rng := rand.New(rand.NewSource(62))
+		for i := 0; i < 100; i++ {
+			q := randomBox(rng, 3)
+			if got, want := kt.Count(q), ref.Count(q); got != want {
+				t.Fatalf("spare=%v query %v: tree counts %d, the indexed rows hold %d", spare, q, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildKDTreeAllocatesLessThanACopy pins that the tree indexes its
+// table in place: building it over SkySim(0.02) allocates fewer bytes than
+// one copy of the rows.
+func TestBuildKDTreeAllocatesLessThanACopy(t *testing.T) {
+	tab := datagen.SkySim(0.02, 1).Table
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	kt, err := BuildKDTree(tab)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := uint64(tab.Len() * tab.Dims() * 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= rows {
+		t.Errorf("BuildKDTree allocated %d bytes, not less than the %d of a copy of the rows", got, rows)
+	}
+	runtime.KeepAlive(kt)
+}
+
+// fuzzValue maps a byte to a coarse grid of 32 values, or to ±Inf or -0, so
+// that fuzzed tables repeat rows and values and boxes land on them.
+func fuzzValue(b byte) float64 {
+	switch b {
+	case 0xfd:
+		return math.Inf(1)
+	case 0xfe:
+		return math.Inf(-1)
+	case 0xff:
+		return math.Copysign(0, -1)
+	}
+	return float64(int(b%32)-16) / 4
+}
+
+// FuzzKDTreeCount builds a table of 1 to 4 columns from the input, whose
+// first 2·dims bytes are a box's low and high corners, and checks the
+// tree's count against the scan's. A box may be degenerate (lo = hi) or
+// inverted (lo > hi) on any axis.
+func FuzzKDTreeCount(f *testing.F) {
+	rng := rand.New(rand.NewSource(71))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	constant := make([]byte, 2*2+2*300) // 300 rows of two columns, the first constant
+	copy(constant, []byte{0, 10, 31, 20})
+	for i := 4; i < len(constant); i += 2 {
+		constant[i], constant[i+1] = 7, byte(rng.Intn(256))
+	}
+	f.Add(uint8(0), []byte{16, 16, 0, 1, 2, 16, 16})                           // 1-d, degenerate box
+	f.Add(uint8(1), []byte{0xff, 0xfe, 0, 0xfd, 0xff, 0, 0, 0xff, 0xfd, 0xfe}) // ±0 and ±Inf
+	f.Add(uint8(1), []byte{20, 20, 10, 10, 1, 2, 3, 4, 5, 6})                  // inverted box
+	f.Add(uint8(1), constant)
+	f.Add(uint8(2), random(3*2+3*300))
+	f.Add(uint8(3), random(4*2+4*300))
+	f.Fuzz(func(t *testing.T, dims uint8, data []byte) {
+		d := 1 + int(dims%4)
+		if len(data) < 2*d {
+			return
+		}
+		box, rows := data[:2*d], data[2*d:]
+		n := min(len(rows)/d, 512)
+		if n == 0 {
+			return
+		}
+		tab := dataset.MustNew(dataset.GenericNames(d)...)
+		tuple := make([]float64, d)
+		for i := 0; i < n; i++ {
+			for j := range tuple {
+				tuple[j] = fuzzValue(rows[i*d+j])
+			}
+			tab.MustAppend(tuple)
+		}
+		q := geom.Rect{Lo: make([]float64, d), Hi: make([]float64, d)}
+		for j := 0; j < d; j++ {
+			q.Lo[j], q.Hi[j] = fuzzValue(box[j]), fuzzValue(box[d+j])
+		}
+		kt, err := BuildKDTree(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := NewScanCounter(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := kt.Count(q), sc.Count(q); got != want {
+			t.Fatalf("%d rows, box %v: tree counts %d, scan %d", n, q, got, want)
+		}
+		if got := kt.Count(kt.Bounds()); got != n {
+			t.Fatalf("%d rows: tree counts %d inside its own bounds", n, got)
+		}
+	})
 }
 
 func TestQuickKDTreeCountMatchesScan(t *testing.T) {

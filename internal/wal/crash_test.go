@@ -49,6 +49,16 @@ func openEstimator(t *testing.T, tab *sthist.Table, opts sthist.Options) *sthist
 	return est
 }
 
+// exactCounts returns tab's exact counts, the feedback a served table sees.
+func exactCounts(t *testing.T, tab *sthist.Table) func(sthist.Rect) float64 {
+	t.Helper()
+	truth, err := sthist.ExactCounts(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return truth
+}
+
 // recoverDir reopens a crashed log directory and rebuilds its estimator the
 // way sthistd does. Every tail record must replay.
 func recoverDir(dir string, tab *sthist.Table, opts sthist.Options) (*sthist.Estimator, *wal.Recovery, httpapi.Recovered, error) {
@@ -111,10 +121,10 @@ type crashScenario struct {
 func clustersScenario(t *testing.T) crashScenario {
 	tab := crashTable(t)
 	rng := rand.New(rand.NewSource(17))
-	ref := openEstimator(t, tab, crashOptions)
+	truth := exactCounts(t, tab)
 	var fbs []crashFeedback
 	for _, q := range probeQueries(rng, 120) {
-		fbs = append(fbs, crashFeedback{q, ref.TrueCount(q)})
+		fbs = append(fbs, crashFeedback{q, truth(q)})
 	}
 	return crashScenario{tab: tab, opts: crashOptions, workload: fbs, probes: probeQueries(rng, 50), checkpointAt: 40, randomCuts: 10}
 }
@@ -138,9 +148,10 @@ func crossScenario(t *testing.T) crashScenario {
 		}
 		return qs
 	}
+	truth := exactCounts(t, ds.Table)
 	var fbs []crashFeedback
 	for _, q := range gen(500, 2) {
-		fbs = append(fbs, crashFeedback{q, ref.TrueCount(q)})
+		fbs = append(fbs, crashFeedback{q, truth(q)})
 	}
 	return crashScenario{tab: ds.Table, opts: opts, workload: fbs, probes: gen(500, 3), checkpointAt: 400}
 }
@@ -267,6 +278,7 @@ func TestRecoveryWithoutCheckpoint(t *testing.T) {
 	tab := crashTable(t)
 	rng := rand.New(rand.NewSource(23))
 	served := openEstimator(t, tab, crashOptions)
+	truth := exactCounts(t, tab)
 
 	dir := filepath.Join(t.TempDir(), "t")
 	l, _, err := wal.Open(dir, wal.Options{})
@@ -275,7 +287,7 @@ func TestRecoveryWithoutCheckpoint(t *testing.T) {
 	}
 	queries := probeQueries(rng, 30)
 	for _, q := range queries {
-		actual := served.TrueCount(q)
+		actual := truth(q)
 		if _, err := l.Append(wal.Record{Lo: q.Lo, Hi: q.Hi, Actual: actual}); err != nil {
 			t.Fatal(err)
 		}

@@ -122,9 +122,11 @@ type snapshot struct {
 	health Health
 }
 
-// Estimator is the user-facing selectivity estimator: an STHoles histogram
-// (optionally initialized by subspace clustering) plus an exact-count index
-// over the build-time snapshot of the data for training simulations.
+// Estimator is the user-facing selectivity estimator: an STHoles histogram,
+// optionally initialized by subspace clustering. Open reads the table once,
+// to cluster it and count the seed boxes; the estimator keeps no rows of it,
+// only its tuple count. Simulations that need ground truth build it from
+// their own table with ExactCounts.
 //
 // Estimator is safe for concurrent use and follows a read-copy-update
 // design: Estimate, Selectivity, Health, StatsSnapshot, SaveHistogram, and
@@ -139,9 +141,9 @@ type Estimator struct {
 	// by publishLocked under wmu, loaded without synchronization everywhere.
 	snap atomic.Pointer[snapshot]
 
-	idx      *index.KDTree // immutable after Open
-	domain   Rect          // immutable after Open
-	clusters []Cluster     // immutable after Open
+	total    float64   // tuples in the table at Open; immutable after Open
+	domain   Rect      // immutable after Open
+	clusters []Cluster // immutable after Open
 
 	// Writer state: the private working tree and everything the mutation
 	// path touches. wmu serializes writers; readers never take it.
@@ -230,8 +232,10 @@ type Health struct {
 	ValidateEvery int `json:"validate_every"`
 }
 
-// Open builds an estimator over the table: it indexes the data, runs
-// MineClus (unless disabled), and seeds a histogram with the clusters.
+// Open builds an estimator over the table: it runs MineClus (unless
+// disabled) and seeds a histogram with the clusters, counting each seed box
+// exactly with a k-d tree built beside the clustering. The estimator keeps
+// no reference to the table or the tree.
 func Open(tab *Table, opts Options) (*Estimator, error) {
 	if tab.Len() == 0 {
 		return nil, fmt.Errorf("sthist: empty table")
@@ -242,19 +246,6 @@ func Open(tab *Table, opts Options) (*Estimator, error) {
 	if opts.Buckets == 0 {
 		opts.Buckets = 100
 	}
-	// Only seeding reads the exact-count index, so it is built beside the
-	// clustering. Every return joins the build.
-	var (
-		idx    *index.KDTree
-		idxErr error
-		built  sync.WaitGroup
-	)
-	built.Add(1)
-	go func() {
-		defer built.Done()
-		idx, idxErr = index.BuildKDTree(tab)
-	}()
-	defer built.Wait()
 	domain := opts.Domain
 	if domain.Dims() == 0 {
 		var err error
@@ -268,30 +259,43 @@ func Open(tab *Table, opts Options) (*Estimator, error) {
 			}
 		}
 	}
-	hist, err := sthole.New(domain, opts.Buckets, float64(tab.Len()))
+	total := float64(tab.Len())
+	hist, err := sthole.New(domain, opts.Buckets, total)
 	if err != nil {
 		return nil, err
 	}
-	e := &Estimator{work: hist, domain: domain}
-	joinIndex := func() error {
-		built.Wait()
-		e.idx = idx
-		return idxErr
-	}
+	e := &Estimator{work: hist, total: total, domain: domain}
 	switch {
 	case opts.ValidateEvery > 0:
 		e.validateEvery = opts.ValidateEvery
 	case opts.ValidateEvery == 0:
 		e.validateEvery = DefaultValidateEvery
 	} // negative: disabled (stays 0)
-	if opts.SkipInitialization {
-		if err := joinIndex(); err != nil {
+	if !opts.SkipInitialization {
+		if e.clusters, err = seed(hist, tab, domain, opts); err != nil {
 			return nil, err
 		}
-		e.lastGood = e.work.Clone()
-		e.publishLocked()
-		return e, nil
 	}
+	e.lastGood = e.work.Clone()
+	e.publishLocked()
+	return e, nil
+}
+
+// seed runs MineClus on tab and initializes hist with the clusters. Only the
+// seed counts read the exact-count index, so it is built beside the
+// clustering and dropped on return. Every return joins the build.
+func seed(hist *sthole.Histogram, tab *Table, domain Rect, opts Options) ([]Cluster, error) {
+	var (
+		count    func(Rect) float64
+		countErr error
+		built    sync.WaitGroup
+	)
+	built.Add(1)
+	go func() {
+		defer built.Done()
+		count, countErr = ExactCounts(tab)
+	}()
+	defer built.Wait()
 	ccfg := opts.Clustering
 	if ccfg.Alpha == 0 && ccfg.Beta == 0 && ccfg.Width == 0 && len(ccfg.Widths) == 0 {
 		ccfg = mineclus.DefaultConfig()
@@ -308,18 +312,28 @@ func Open(tab *Table, opts Options) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := joinIndex(); err != nil {
+	built.Wait()
+	if countErr != nil {
+		return nil, countErr
+	}
+	// Exact counts instead of the uniformity-model fallback.
+	if err := core.Initialize(hist, clusters, domain, core.Options{Count: count}); err != nil {
 		return nil, err
 	}
-	// The estimator owns an exact-count index, so initialization can feed
-	// true counts instead of the uniformity-model fallback.
-	if err := core.Initialize(hist, clusters, domain, core.Options{Count: e.exact}); err != nil {
+	return clusters, nil
+}
+
+// ExactCounts indexes tab and returns a function that counts its tuples
+// inside a rectangle (boundaries inclusive): the ground truth a simulation
+// feeds to Train, FeedbackWith and the error helpers. The index reads tab in
+// place, so tab must not be modified while the function is in use; rows
+// appended later are not counted.
+func ExactCounts(tab *Table) (func(Rect) float64, error) {
+	idx, err := index.BuildKDTree(tab)
+	if err != nil {
 		return nil, err
 	}
-	e.clusters = clusters
-	e.lastGood = e.work.Clone()
-	e.publishLocked()
-	return e, nil
+	return func(r Rect) float64 { return float64(idx.Count(r)) }, nil
 }
 
 // Estimate returns the estimated number of tuples matching the range
@@ -341,8 +355,8 @@ func (e *Estimator) Selectivity(q Rect) float64 {
 // snapshots. Wait-free.
 func (e *Estimator) EstimateSelectivity(q Rect) (est, sel float64) {
 	est = e.Estimate(q)
-	if total := float64(e.idx.Total()); total > 0 {
-		sel = est / total
+	if e.total > 0 {
+		sel = est / e.total
 	}
 	return est, sel
 }
@@ -458,18 +472,22 @@ func (e *Estimator) FeedbackBatch(obs []Observation) []error {
 	return errs
 }
 
-// Train replays a workload against the build-time data snapshot with exact
-// counts — the simulation loop of the paper. Useful for warming up the
+// Train replays a workload with the exact counts truth returns (see
+// ExactCounts) — the simulation loop of the paper. Useful for warming up the
 // histogram before serving estimates. The whole replay publishes one
 // snapshot at the end.
-func (e *Estimator) Train(queries []Rect) {
+func (e *Estimator) Train(queries []Rect, truth func(Rect) float64) {
+	if truth == nil {
+		// A nil count would make every round scalar feedback of 0.
+		panic("sthist: Train needs a truth function")
+	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	changed := false
 	for _, q := range queries {
-		// Exact counts from our own index cannot fail validation; drill
-		// errors (recovered panics) quarantine internally.
-		ch, _ := e.drillLocked(q, e.exact, 0, nil)
+		// A round with a count function has no observation to validate;
+		// its only error is a recovered drill panic, which quarantines.
+		ch, _ := e.drillLocked(q, truth, 0, nil)
 		changed = changed || ch
 	}
 	if changed {
@@ -559,7 +577,7 @@ func (e *Estimator) drillLocked(q Rect, count sthole.CountFunc, actual float64, 
 			Query:    q,
 			Estimate: preEst,
 			Actual:   actual,
-			Trivial:  metrics.TrivialEstimator{Domain: e.domain, Total: float64(e.idx.Total())}.Estimate(q),
+			Trivial:  metrics.TrivialEstimator{Domain: e.domain, Total: e.total}.Estimate(q),
 			Drills:   drills,
 			Skipped:  skipped,
 			Merges:   e.mergeScratch,
@@ -651,7 +669,7 @@ func (e *Estimator) quarantineLocked(cause error) {
 	if e.work != nil && e.work.MaxBuckets() > 0 {
 		budget = e.work.MaxBuckets()
 	}
-	if h, err := sthole.New(e.domain, budget, float64(e.idx.Total())); err == nil {
+	if h, err := sthole.New(e.domain, budget, e.total); err == nil {
 		e.work = h
 		e.lastGood = h.Clone()
 	}
@@ -675,8 +693,6 @@ func (e *Estimator) Quarantine(cause error) {
 func (e *Estimator) Health() Health {
 	return e.snap.Load().health
 }
-
-func (e *Estimator) exact(r Rect) float64 { return float64(e.idx.Count(r)) }
 
 // TableStats is a consistent snapshot of the histogram's structure and
 // maintenance counters — the raw material of the /stats endpoint and the
@@ -708,10 +724,6 @@ func (e *Estimator) StatsSnapshot() TableStats {
 	st.SiblingMerges = int(e.ctrSib.Load())
 	return st
 }
-
-// TrueCount returns the exact number of tuples in q in the build-time
-// snapshot.
-func (e *Estimator) TrueCount(q Rect) float64 { return e.exact(q) }
 
 // Histogram returns the last published histogram snapshot for inspection
 // (bucket dumps, serialization, subspace-bucket queries). The snapshot is
@@ -816,20 +828,20 @@ func (e *Estimator) Clusters() []Cluster { return e.clusters }
 func (e *Estimator) Domain() Rect { return e.domain }
 
 // MeanAbsoluteError evaluates the estimator over a workload against the
-// build-time snapshot. The evaluation runs on the published snapshot, so it
-// does not block concurrent feedback.
-func (e *Estimator) MeanAbsoluteError(queries []Rect) (float64, error) {
-	return metrics.MeanAbsoluteError(e.snap.Load().hist, queries, e.exact)
+// exact counts truth returns (see ExactCounts). The evaluation runs on the
+// published snapshot, so it does not block concurrent feedback.
+func (e *Estimator) MeanAbsoluteError(queries []Rect, truth func(Rect) float64) (float64, error) {
+	return metrics.MeanAbsoluteError(e.snap.Load().hist, queries, truth)
 }
 
-// NormalizedError evaluates the estimator over a workload, normalized by the
-// error of the trivial single-bucket histogram (the paper's NAE, Eq. 10).
-// An estimator over zero tuples has no meaningful normalization and returns
-// an explicit error instead of NaN.
-func (e *Estimator) NormalizedError(queries []Rect) (float64, error) {
-	total := float64(e.idx.Total())
-	if total <= 0 {
+// NormalizedError evaluates the estimator over a workload against the exact
+// counts truth returns, normalized by the error of the trivial single-bucket
+// histogram over the table's tuple count (the paper's NAE, Eq. 10). An
+// estimator over zero tuples has no meaningful normalization and returns an
+// explicit error instead of NaN.
+func (e *Estimator) NormalizedError(queries []Rect, truth func(Rect) float64) (float64, error) {
+	if e.total <= 0 {
 		return 0, fmt.Errorf("sthist: normalized error undefined over an empty table")
 	}
-	return metrics.NormalizedAbsoluteError(e.snap.Load().hist, queries, e.exact, e.domain, total)
+	return metrics.NormalizedAbsoluteError(e.snap.Load().hist, queries, truth, e.domain, e.total)
 }

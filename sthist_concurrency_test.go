@@ -27,9 +27,10 @@ func TestConcurrentHammer(t *testing.T) {
 	qs := workload.MustGenerate(ds.Domain, workload.Config{
 		VolumeFraction: 0.01, N: 128, Seed: 9,
 	}, ds.Table)
+	truth := exactCounts(t, ds.Table)
 	actuals := make([]float64, len(qs))
 	for i, q := range qs {
-		actuals[i] = est.TrueCount(q)
+		actuals[i] = truth(q)
 	}
 	var saved bytes.Buffer
 	if err := est.SaveHistogram(&saved); err != nil {
@@ -142,9 +143,9 @@ func TestConcurrentHammer(t *testing.T) {
 // query served off the published snapshot performs zero heap allocations —
 // no lock, no copy, no boxing.
 func TestEstimateReadPathZeroAllocs(t *testing.T) {
-	est, qs := crossEstimator(t, 100, 64)
+	est, qs, truth := crossEstimator(t, 100, 64)
 	for _, q := range qs { // grow the tree so the walk is non-trivial
-		if err := est.Feedback(q, est.TrueCount(q)); err != nil {
+		if err := est.Feedback(q, truth(q)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,9 +170,9 @@ func TestEstimateReadPathZeroAllocs(t *testing.T) {
 // wait-free path must be at least 4x faster; small machines only check that
 // it is no slower.
 func BenchmarkEstimateParallel(b *testing.B) {
-	est, qs := crossEstimator(b, 250, 256)
+	est, qs, truth := crossEstimator(b, 250, 256)
 	for _, q := range qs {
-		if err := est.Feedback(q, est.TrueCount(q)); err != nil {
+		if err := est.Feedback(q, truth(q)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,7 +26,8 @@ func degradeTable(t *testing.T) *Table {
 }
 
 func TestFeedbackRejectsInvalidInput(t *testing.T) {
-	est, err := Open(degradeTable(t), Options{Buckets: 30, Seed: 1})
+	tab := degradeTable(t)
+	est, err := Open(tab, Options{Buckets: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestFeedbackRejectsInvalidInput(t *testing.T) {
 	if err := est.FeedbackWith(q, nil); err == nil {
 		t.Error("FeedbackWith without a count function accepted")
 	}
-	if err := est.Feedback(q, est.TrueCount(q)); err != nil {
+	if err := est.Feedback(q, exactCounts(t, tab)(q)); err != nil {
 		t.Errorf("valid feedback rejected: %v", err)
 	}
 	if h := est.Health(); h.State != "ok" || h.Quarantines != 0 {
@@ -91,13 +92,14 @@ func corruptChildBox(t *testing.T, est *Estimator) {
 }
 
 func TestQuarantineOnInvariantViolation(t *testing.T) {
-	est, err := Open(degradeTable(t), Options{Buckets: 30, Seed: 1, ValidateEvery: 1})
+	tab := degradeTable(t)
+	est, err := Open(tab, Options{Buckets: 30, Seed: 1, ValidateEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	truth := exactCounts(t, tab)
 	q := MustRect([]float64{100, 300}, []float64{150, 350})
-	truth := est.TrueCount(q)
-	if err := est.Feedback(q, truth); err != nil {
+	if err := est.Feedback(q, truth(q)); err != nil {
 		t.Fatal(err)
 	}
 	goodEstimate := est.Estimate(q)
@@ -105,7 +107,7 @@ func TestQuarantineOnInvariantViolation(t *testing.T) {
 	corruptChildBox(t, est)
 	// The next drill triggers the amortized check, which quarantines.
 	q2 := MustRect([]float64{120, 310}, []float64{170, 360})
-	if err := est.Feedback(q2, est.TrueCount(q2)); err != nil {
+	if err := est.Feedback(q2, truth(q2)); err != nil {
 		t.Fatalf("feedback errored instead of quarantining: %v", err)
 	}
 	h := est.Health()
@@ -123,7 +125,7 @@ func TestQuarantineOnInvariantViolation(t *testing.T) {
 	_ = goodEstimate // the restored estimate may predate q's feedback; only sanity is required
 
 	// Clean traffic re-validates and clears the degradation.
-	if err := est.Feedback(q, truth); err != nil {
+	if err := est.Feedback(q, truth(q)); err != nil {
 		t.Fatal(err)
 	}
 	if h := est.Health(); h.State != "ok" || h.Quarantines != 1 {
@@ -190,7 +192,8 @@ func TestLoadHistogramRejectsInvalidTrees(t *testing.T) {
 func TestSelectivityEmptyIndexIsZeroNotNaN(t *testing.T) {
 	// Open rejects empty tables, so build the degenerate estimator by hand —
 	// the guard protects any future path that yields a zero-tuple index.
-	est, err := Open(degradeTable(t), Options{Buckets: 10, Seed: 1})
+	tab := degradeTable(t)
+	est, err := Open(tab, Options{Buckets: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,7 @@ func TestSelectivityEmptyIndexIsZeroNotNaN(t *testing.T) {
 	if s := est.Selectivity(q); math.IsNaN(s) || s <= 0 {
 		t.Errorf("selectivity = %g", s)
 	}
-	if _, err := est.NormalizedError([]Rect{q}); err != nil {
+	if _, err := est.NormalizedError([]Rect{q}, exactCounts(t, tab)); err != nil {
 		t.Errorf("normalized error on populated table: %v", err)
 	}
 }

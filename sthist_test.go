@@ -30,6 +30,16 @@ func clusteredTable(t *testing.T) *Table {
 	return tab
 }
 
+// exactCounts is ExactCounts that fails the test on error.
+func exactCounts(t testing.TB, tab *Table) func(Rect) float64 {
+	t.Helper()
+	truth, err := ExactCounts(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return truth
+}
+
 func TestOpenValidation(t *testing.T) {
 	tab, _ := NewTable("x")
 	if _, err := Open(tab, Options{}); err == nil {
@@ -71,7 +81,7 @@ func TestOpenAndEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := est.Estimate(cluster)
-	want := est.TrueCount(cluster)
+	want := exactCounts(t, tab)(cluster)
 	if math.Abs(got-want) > 0.25*want {
 		t.Errorf("initialized estimate %g far from truth %g", got, want)
 	}
@@ -106,10 +116,11 @@ func TestFeedbackImprovesEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	truth := exactCounts(t, tab)
 	q, _ := NewRect([]float64{200, 600}, []float64{300, 700})
-	before := math.Abs(est.Estimate(q) - est.TrueCount(q))
-	est.Feedback(q, est.TrueCount(q))
-	after := math.Abs(est.Estimate(q) - est.TrueCount(q))
+	before := math.Abs(est.Estimate(q) - truth(q))
+	est.Feedback(q, truth(q))
+	after := math.Abs(est.Estimate(q) - truth(q))
 	if after >= before {
 		t.Errorf("feedback did not improve the estimate: %g -> %g", before, after)
 	}
@@ -132,6 +143,7 @@ func TestFeedbackPastDomainKeepsMass(t *testing.T) {
 				return est
 			}
 			wide, clipped := open(), open()
+			truth := exactCounts(t, ds.Table)
 			dom := wide.Domain()
 			qs := workload.MustGenerate(dom, workload.Config{VolumeFraction: 0.05, N: 400, Seed: 11}, ds.Table)
 			rng := rand.New(rand.NewSource(12))
@@ -152,7 +164,7 @@ func TestFeedbackPastDomainKeepsMass(t *testing.T) {
 				if !ok {
 					t.Fatalf("%v misses the domain", w)
 				}
-				actual := wide.TrueCount(in)
+				actual := truth(in)
 				if err := wide.Feedback(w, actual); err != nil {
 					t.Fatal(err)
 				}
@@ -187,20 +199,21 @@ func TestTrainAndErrors(t *testing.T) {
 	}
 	train := workload.MustGenerate(init.Domain(), workload.Config{VolumeFraction: 0.01, N: 150, Seed: 3}, nil)
 	eval := workload.MustGenerate(init.Domain(), workload.Config{VolumeFraction: 0.01, N: 150, Seed: 4}, nil)
-	init.Train(train)
-	uninit.Train(train)
-	ni, err := init.NormalizedError(eval)
+	truth := exactCounts(t, tab)
+	init.Train(train, truth)
+	uninit.Train(train, truth)
+	ni, err := init.NormalizedError(eval, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nu, err := uninit.NormalizedError(eval)
+	nu, err := uninit.NormalizedError(eval, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ni >= nu {
 		t.Errorf("initialized NAE %g not better than uninitialized %g", ni, nu)
 	}
-	if _, err := init.MeanAbsoluteError(nil); err == nil {
+	if _, err := init.MeanAbsoluteError(nil, truth); err == nil {
 		t.Error("empty eval workload accepted")
 	}
 }
@@ -239,24 +252,17 @@ func TestOpenDegenerateDomain(t *testing.T) {
 	}
 }
 
-// TestOpenLeavesIndexBounds: inflating a degenerate domain must not write
-// into the exact-count index, whose bounds stay the data's.
+// TestOpenLeavesIndexBounds: Open inflates a degenerate side of the domain
+// it derives from the data, with or without clustering.
 func TestOpenLeavesIndexBounds(t *testing.T) {
 	tab, _ := NewTable("x", "y")
 	for i := 0; i < 100; i++ {
 		tab.MustAppend([]float64{7, float64(i)})
 	}
-	want, err := tab.Bounds()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, skip := range []bool{true, false} {
 		est, err := Open(tab, Options{Buckets: 10, SkipInitialization: skip})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := est.idx.Bounds(); !got.Equal(want) {
-			t.Errorf("skip=%v: index bounds %v after Open, data bounds %v", skip, got, want)
 		}
 		if dom := est.Domain(); dom.Lo[0] != 7 || dom.Hi[0] != 8 {
 			t.Errorf("skip=%v: domain %v, want x inflated to [7,8]", skip, dom)
@@ -283,8 +289,8 @@ func TestOpenRejectsInfiniteDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := est.TrueCount(domain); got != 3 {
-		t.Errorf("TrueCount(domain) = %g, want 3", got)
+	if got := exactCounts(t, tab)(domain); got != 3 {
+		t.Errorf("ExactCounts(domain) = %g, want 3", got)
 	}
 	if got := est.Estimate(domain); !(got > 0) || math.IsInf(got, 0) {
 		t.Errorf("Estimate(domain) = %g, want a positive finite estimate", got)
@@ -297,6 +303,7 @@ func TestConcurrentEstimateAndFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	truth := exactCounts(t, tab)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -317,7 +324,7 @@ func TestConcurrentEstimateAndFeedback(t *testing.T) {
 						return
 					}
 				} else {
-					est.Feedback(q, est.TrueCount(q))
+					est.Feedback(q, truth(q))
 				}
 			}
 		}(int64(g))
@@ -334,10 +341,11 @@ func TestFeedbackWithExactCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	truth := exactCounts(t, tab)
 	q, _ := NewRect([]float64{200, 600}, []float64{300, 700})
-	before := math.Abs(est.Estimate(q) - est.TrueCount(q))
-	est.FeedbackWith(q, est.TrueCount)
-	after := math.Abs(est.Estimate(q) - est.TrueCount(q))
+	before := math.Abs(est.Estimate(q) - truth(q))
+	est.FeedbackWith(q, truth)
+	after := math.Abs(est.Estimate(q) - truth(q))
 	if after >= before || after > 1 {
 		t.Errorf("exact feedback did not converge: %g -> %g", before, after)
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // crossEstimator opens an uninitialized estimator over the Cross dataset so
-// accuracy starts poor and the learning is visible, plus its workload.
-func crossEstimator(t testing.TB, buckets, queries int) (*Estimator, []Rect) {
+// accuracy starts poor and the learning is visible, plus its workload and
+// the table's exact counts.
+func crossEstimator(t testing.TB, buckets, queries int) (*Estimator, []Rect, func(Rect) float64) {
 	t.Helper()
 	ds := datagen.Cross(0.04, 1)
 	est, err := Open(ds.Table, Options{Buckets: buckets, Seed: 1, SkipInitialization: true})
@@ -23,7 +24,7 @@ func crossEstimator(t testing.TB, buckets, queries int) (*Estimator, []Rect) {
 	qs := workload.MustGenerate(ds.Domain, workload.Config{
 		VolumeFraction: 0.01, N: queries, Seed: 7,
 	}, ds.Table)
-	return est, qs
+	return est, qs, exactCounts(t, ds.Table)
 }
 
 // TestRollingNAEDecreasesOnCross is the end-to-end accuracy-tracking check:
@@ -31,7 +32,7 @@ func crossEstimator(t testing.TB, buckets, queries int) (*Estimator, []Rect) {
 // feedback stream) of an initially uninitialized histogram must decay as the
 // holes are drilled.
 func TestRollingNAEDecreasesOnCross(t *testing.T) {
-	est, qs := crossEstimator(t, 100, 400)
+	est, qs, truth := crossEstimator(t, 100, 400)
 	tel := telemetry.New(telemetry.Options{Window: 100, SlowThreshold: -1})
 	rec := tel.Table("cross")
 	est.SetRecorder(rec)
@@ -39,7 +40,7 @@ func TestRollingNAEDecreasesOnCross(t *testing.T) {
 	var naeEarly float64
 	var last Round
 	for i, q := range qs {
-		if errs := est.FeedbackBatch([]Observation{{Query: q, Actual: est.TrueCount(q), Round: &last}}); errs[0] != nil {
+		if errs := est.FeedbackBatch([]Observation{{Query: q, Actual: truth(q), Round: &last}}); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
 		if i == 99 {
@@ -59,7 +60,7 @@ func TestRollingNAEDecreasesOnCross(t *testing.T) {
 	if mae < 0 {
 		t.Errorf("rolling MAE = %g", mae)
 	}
-	if q := qs[len(qs)-1]; last.Actual != est.TrueCount(q) || !last.Query.Equal(q) {
+	if q := qs[len(qs)-1]; last.Actual != truth(q) || !last.Query.Equal(q) {
 		t.Errorf("last round = %+v, want the fed query and truth", last)
 	}
 }
@@ -69,8 +70,8 @@ func TestRollingNAEDecreasesOnCross(t *testing.T) {
 // out of the estimator's reused scratch, rejected observations untouched,
 // and the same detail with no recorder attached.
 func TestFeedbackBatchReportsRoundDetail(t *testing.T) {
-	withRec, qs := crossEstimator(t, 5, 80)
-	bare, _ := crossEstimator(t, 5, 80)
+	withRec, qs, truth := crossEstimator(t, 5, 80)
+	bare, _, _ := crossEstimator(t, 5, 80)
 	tel := telemetry.New(telemetry.Options{SlowThreshold: -1})
 	withRec.SetRecorder(tel.Table("cross"))
 
@@ -78,8 +79,8 @@ func TestFeedbackBatchReportsRoundDetail(t *testing.T) {
 	var penalties float64
 	for _, q := range qs {
 		var a, b Round
-		errs := withRec.FeedbackBatch([]Observation{{Query: q, Actual: withRec.TrueCount(q), Round: &a}})
-		errs = append(errs, bare.FeedbackBatch([]Observation{{Query: q, Actual: bare.TrueCount(q), Round: &b}})...)
+		errs := withRec.FeedbackBatch([]Observation{{Query: q, Actual: truth(q), Round: &a}})
+		errs = append(errs, bare.FeedbackBatch([]Observation{{Query: q, Actual: truth(q), Round: &b}})...)
 		if errs[0] != nil || errs[1] != nil {
 			t.Fatal(errs)
 		}
@@ -120,7 +121,7 @@ func TestFeedbackBatchReportsRoundDetail(t *testing.T) {
 // Histogram.DrillScalar: a frozen tree makes Drill return at once, so
 // anything the round allocates comes from the path around it.
 func TestFeedbackSteadyStateZeroAllocs(t *testing.T) {
-	open := func(t *testing.T, withRecorder bool) (*Estimator, []Rect) {
+	open := func(t *testing.T, withRecorder bool) (*Estimator, []Rect, func(Rect) float64) {
 		ds := datagen.Cross(0.04, 1)
 		est, err := Open(ds.Table, Options{Buckets: 100, Seed: 1, ValidateEvery: -1})
 		if err != nil {
@@ -132,11 +133,11 @@ func TestFeedbackSteadyStateZeroAllocs(t *testing.T) {
 		qs := workload.MustGenerate(ds.Domain, workload.Config{
 			VolumeFraction: 0.01, N: 64, Seed: 7,
 		}, ds.Table)
-		return est, qs
+		return est, qs, exactCounts(t, ds.Table)
 	}
 	for _, withRecorder := range []bool{false, true} {
 		t.Run(fmt.Sprintf("recorder=%v", withRecorder), func(t *testing.T) {
-			est, qs := open(t, withRecorder)
+			est, qs, _ := open(t, withRecorder)
 			steady := func(r Rect) float64 { return est.work.Estimate(r) }
 			for _, q := range qs { // converge + warm scratch buffers
 				if err := est.FeedbackWith(q, steady); err != nil {
@@ -155,11 +156,11 @@ func TestFeedbackSteadyStateZeroAllocs(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("scalar/recorder=%v", withRecorder), func(t *testing.T) {
-			est, qs := open(t, withRecorder)
+			est, qs, truth := open(t, withRecorder)
 			est.work.SetFrozen(true)
 			actuals := make([]float64, len(qs))
 			for i, q := range qs {
-				actuals[i] = est.TrueCount(q)
+				actuals[i] = truth(q)
 			}
 			i := 0
 			allocs := testing.AllocsPerRun(200, func() {
@@ -189,10 +190,10 @@ func TestFeedbackSteadyStateZeroAllocs(t *testing.T) {
 // path-dependent noise.
 func BenchmarkFeedbackRound(b *testing.B) {
 	run := func(b *testing.B, withTelemetry bool) {
-		est, qs := crossEstimator(b, 250, 256)
+		est, qs, truth := crossEstimator(b, 250, 256)
 		actuals := make([]float64, len(qs))
 		for i, q := range qs {
-			actuals[i] = est.TrueCount(q)
+			actuals[i] = truth(q)
 		}
 		if withTelemetry {
 			tel := telemetry.New(telemetry.Options{})
