@@ -24,8 +24,15 @@ func TestSetupValidation(t *testing.T) {
 	if err := os.WriteFile(infPath, []byte("a,b\n1,2\n3,4\n5,Inf\n7,8\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Finite values whose bounding box volume, (2e110)^3, overflows: every
+	// estimate would be NaN, and /estimate would answer an empty 200.
+	hugePath := filepath.Join(t.TempDir(), "huge.csv")
+	if err := os.WriteFile(hugePath, []byte("a,b,c\n-1e110,-1e110,-1e110\n1e110,1e110,1e110\n3,4,5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string][]string{
 		"infinite-value":   {"-table", "inf=" + infPath},
+		"overflow-volume":  {"-table", "huge=" + hugePath},
 		"no-tables":        nil,
 		"spec-without-eq":  {"-table", "bad"},
 		"empty-name":       {"-table", "=x"},

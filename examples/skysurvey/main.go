@@ -44,7 +44,7 @@ func run(w io.Writer) error {
 			}
 			label = fmt.Sprint(oneBased)
 		}
-		fmt.Fprintf(w, "C%-7d %-10d %-20s\n", i, len(c.Rows), label)
+		fmt.Fprintf(w, "C%-7d %-10d %-20s\n", i, c.Size, label)
 		if i == 14 && len(est.Clusters()) > 16 {
 			fmt.Fprintf(w, "... and %d more\n", len(est.Clusters())-15)
 			break

@@ -90,16 +90,17 @@ func BuildKDTree(tab *dataset.Table) (*KDTree, error) {
 	// A tree split at exact medians has about 4n/leafSize nodes.
 	t.nodes = make([]kdNode, 0, 4*n/leafSize+1)
 	t.boxes = make([]float64, 0, cap(t.nodes)*2*dims)
-	b := &builder{KDTree: t, sample: make([]float64, sampleSize)}
+	b := &builder{KDTree: t, rows: make([]int32, sampleSize), sample: make([]float64, sampleSize)}
 	b.build(0, n, 0)
 	lo, hi := t.box(0)
 	t.bounds = geom.Rect{Lo: slices.Clone(lo), Hi: slices.Clone(hi)}
 	return t, nil
 }
 
-// builder holds the working buffer of one BuildKDTree.
+// builder holds the working buffers of one BuildKDTree.
 type builder struct {
 	*KDTree
+	rows   []int32   // split's sampled rows
 	sample []float64 // split's sampled axis values
 }
 
@@ -146,13 +147,22 @@ func (b *builder) build(start, end, depth int) int32 {
 func (b *builder) split(start, end, depth int) int {
 	n := end - start
 	s := min(n, sampleSize)
+	rows := b.rows[:s]
+	for k := range rows {
+		rows[k] = b.perm[start+k*n/s]
+	}
+	// Tables hold no NaN, and -0 and +0 give the same spread whichever is
+	// kept, so plain comparisons find the extremes.
 	axis, widest := depth%b.dims(), 0.0
 	for d, c := range b.cols {
-		lo := c[b.perm[start]]
+		lo := c[rows[0]]
 		hi := lo
-		for k := 1; k < s; k++ {
-			v := c[b.perm[start+k*n/s]]
-			lo, hi = min(lo, v), max(hi, v)
+		for _, r := range rows[1:] {
+			if v := c[r]; v < lo {
+				lo = v
+			} else if v > hi {
+				hi = v
+			}
 		}
 		if w := hi - lo; w > widest {
 			axis, widest = d, w
@@ -161,8 +171,8 @@ func (b *builder) split(start, end, depth int) int {
 	mid := start + n/2
 	if n > smallSplit {
 		sample, c := b.sample[:s], b.cols[axis]
-		for k := range sample {
-			sample[k] = c[b.perm[start+k*n/s]]
+		for k, r := range rows {
+			sample[k] = c[r]
 		}
 		slices.Sort(sample)
 		if m := b.partition(start, end, axis, sample[s/2]); min(m-start, end-m) >= n/4 {

@@ -201,7 +201,7 @@ func TestSplitPartition(t *testing.T) {
 				pts[i] = row(i)
 			}
 			kt := flatTree(pts)
-			b := &builder{KDTree: kt, sample: make([]float64, sampleSize)}
+			b := &builder{KDTree: kt, rows: make([]int32, sampleSize), sample: make([]float64, sampleSize)}
 			mid := b.split(0, n, trial)
 			if min(mid, n-mid) < n/4 {
 				t.Fatalf("%s n=%d: split at %d leaves a side under a quarter", name, n, mid)

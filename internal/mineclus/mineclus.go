@@ -3,11 +3,13 @@ package mineclus
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sthist/internal/dataset"
 	"sthist/internal/geom"
@@ -86,8 +88,11 @@ func (c *Config) validate() error {
 type Cluster struct {
 	// Dims are the relevant (constrained) dimensions, ascending.
 	Dims []int
-	// Rows are the member row indices into the clustered table.
+	// Rows are the member row indices into the clustered table, ascending.
 	Rows []int
+	// Size is the number of members, len(Rows) as Run returns it; it stays
+	// when a caller drops Rows.
+	Size int
 	// Box bounds the members tightly on Dims and spans the members' extent
 	// on the other dimensions too (it is the plain MBR of the members; use
 	// core.ExtendedBR for the subspace-aware bucket box).
@@ -196,8 +201,12 @@ type buffers struct {
 	// rows holds a subsampled round's permutation of remaining until the
 	// transactions are drawn, then the winning cluster's members until they
 	// are copied out.
-	rows   []int
-	txRows []int      // the subsampled round's transaction rows
+	rows []int
+	// marks is a bitset over the positions of remaining: bit i of word i/64
+	// for remaining[i]. It marks a subsampled round's transactions, then the
+	// winning cluster's members.
+	marks  []uint64
+	txRows []int      // the subsampled round's transaction rows, ascending
 	txKeys [][]uint64 // the round's transaction subsample as keyOf keys, column by column
 	miners []miner    // one per trial worker
 }
@@ -205,9 +214,14 @@ type buffers struct {
 // newBuffers sizes the buffers for a Run over n rows of dims columns whose
 // rounds mine at most points transactions.
 func newBuffers(dims, n, points, workers int) *buffers {
-	b := &buffers{rows: make([]int, n), txKeys: make([][]uint64, dims), miners: make([]miner, workers)}
+	b := &buffers{
+		rows:   make([]int, n),
+		marks:  make([]uint64, (n+63)/64),
+		txKeys: make([][]uint64, dims),
+		miners: make([]miner, workers),
+	}
 	if points < n {
-		b.txRows = make([]int, points)
+		b.txRows = make([]int, 0, points)
 	}
 	for d := range b.txKeys {
 		b.txKeys[d] = make([]uint64, 0, points)
@@ -225,47 +239,102 @@ func permInto(rng *rand.Rand, m []int) {
 	}
 }
 
+// forEach calls f(w, i) for every task i in [0, tasks), spread over workers
+// goroutines: the caller's and workers-1 more, w being the goroutine's index.
+// A goroutine takes the next task as soon as it finishes one, so with one
+// worker the tasks run inline, in order.
+func forEach(workers, tasks int, f func(w, i int)) {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	work := func(w int) {
+		for i := int(next.Add(1) - 1); i < tasks; i = int(next.Add(1) - 1) {
+			f(w, i)
+		}
+	}
+	for w := 1; w < min(workers, tasks); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+}
+
+// memberBlock is how many 64-row words of remaining one membership task
+// tests.
+const memberBlock = 32
+
+// appendMarked appends remaining[i] to dst for every bit i set in marks, in
+// ascending i.
+func appendMarked(dst []int, marks []uint64, remaining []int) []int {
+	for k, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			dst = append(dst, remaining[64*k+bits.TrailingZeros64(m)])
+		}
+	}
+	return dst
+}
+
 // bestClusterAround samples medoids from remaining and returns the best
 // cluster found, materialized with its member rows and bounding box. cols
 // are the table's columns; minSup is the cluster-size threshold ceil(alpha*n)
 // on the full table.
+//
+// A round has three parallel phases, each on the trial workers: the
+// subsample's gather (one task per column), the medoid trials (one task per
+// medoid) and membership over remaining (one task per memberBlock words).
+// The RNG draws, the choice of the winner and the collection of the members
+// stay sequential, so the result does not depend on the worker count.
 func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int, gain float64, rng *rand.Rand, buf *buffers) (Cluster, bool) {
 	dims := len(cols)
+	workers := len(buf.miners)
 	// Choose the transaction subsample once per extraction round so every
 	// medoid trial sees the same points (fair comparison of mu scores).
 	txRows := remaining
 	txMinSup := minSup
 	if cfg.MaxTransactions > 0 && len(remaining) > cfg.MaxTransactions {
+		// The subsample is the permutation's first MaxTransactions entries,
+		// taken in row order: the trials' supports count the same points
+		// whatever their order, and the gather then streams through the
+		// columns.
 		perm := buf.rows[:len(remaining)]
 		permInto(rng, perm)
-		txRows = buf.txRows
-		for i, j := range perm[:len(txRows)] {
-			txRows[i] = remaining[j]
+		marks := buf.marks[:(len(remaining)+63)/64]
+		clear(marks)
+		for _, j := range perm[:cfg.MaxTransactions] {
+			marks[j/64] |= 1 << (j % 64)
 		}
+		txRows = appendMarked(buf.txRows[:0], marks, remaining)
 		// Scale the support threshold to the subsample.
 		txMinSup = int(math.Ceil(float64(minSup) * float64(cfg.MaxTransactions) / float64(len(remaining))))
 		if txMinSup < 2 {
 			txMinSup = 2
 		}
 	}
-	// Gather the subsample column by column as order-preserving keys, so each
-	// trial's covers come from sequential scans of unsigned range tests.
-	txKeys := buf.txKeys
-	for d, col := range cols {
-		txKeys[d] = txKeys[d][:len(txRows)]
-		for i, r := range txRows {
-			txKeys[d][i] = keyOf(col[r])
-		}
-	}
-
 	// Draw every medoid up front (sequential, so runs stay deterministic for
-	// a given seed), then evaluate the trials in parallel: each trial builds
-	// its own covers and mines them independently. Ties are broken by trial
-	// index so the parallel result matches the sequential one.
+	// a given seed).
 	medoidRows := make([]int, cfg.MedoidSamples)
 	for t := range medoidRows {
 		medoidRows[t] = remaining[rng.Intn(len(remaining))]
 	}
+	// Gather the subsample column by column as order-preserving keys, so each
+	// trial's covers come from sequential scans of unsigned range tests.
+	txKeys := buf.txKeys
+	forEach(workers, dims, func(_, d int) {
+		col, keys := cols[d], txKeys[d][:len(txRows)]
+		for i, r := range txRows {
+			keys[i] = keyOf(col[r])
+		}
+		txKeys[d] = keys
+	})
+
+	// Evaluate the trials in parallel: each trial builds its own covers and
+	// mines them independently. Ties are broken by trial index so the
+	// parallel result matches the sequential one.
 	type trialResult struct {
 		items  []int
 		score  float64
@@ -273,32 +342,19 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 		ok     bool
 	}
 	results := make([]trialResult, cfg.MedoidSamples)
-	var wg sync.WaitGroup
-	trialCh := make(chan int)
-	for w := range buf.miners {
+	forEach(workers, cfg.MedoidSamples, func(w, trial int) {
 		m := &buf.miners[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for trial := range trialCh {
-				medoid := make(geom.Point, dims)
-				for d, col := range cols {
-					medoid[d] = col[medoidRows[trial]]
-				}
-				m.cover(txKeys, medoid, &cfg)
-				items, _, score, ok := m.mine(dims, txMinSup, gain)
-				if !ok || len(items) < cfg.MinDims {
-					continue
-				}
-				results[trial] = trialResult{items: items, score: score, medoid: medoid, ok: true}
-			}
-		}()
-	}
-	for t := 0; t < cfg.MedoidSamples; t++ {
-		trialCh <- t
-	}
-	close(trialCh)
-	wg.Wait()
+		medoid := make(geom.Point, dims)
+		for d, col := range cols {
+			medoid[d] = col[medoidRows[trial]]
+		}
+		m.cover(txKeys, medoid, &cfg)
+		items, _, score, ok := m.mine(dims, txMinSup, gain)
+		if !ok || len(items) < cfg.MinDims {
+			return
+		}
+		results[trial] = trialResult{items: items, score: score, medoid: medoid, ok: true}
+	})
 
 	var (
 		bestScore  = math.Inf(-1)
@@ -320,20 +376,41 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 
 	// Materialize the cluster over the FULL remaining set (not just the
 	// subsample): members are the points within Width of the winning medoid
-	// on every relevant dimension.
-	rows := buf.rows[:0]
-	for _, r := range remaining {
-		member := true
-		for _, d := range bestDims {
-			if math.Abs(cols[d][r]-bestMedoid[d]) > cfg.widthFor(d) {
-				member = false
-				break
-			}
+	// on every relevant dimension, that is inside each dimension's key
+	// window.
+	type window struct{ lo, span uint64 }
+	wins := make([]window, len(bestDims))
+	for i, d := range bestDims {
+		lo, span, ok := keyWindow(bestMedoid[d], cfg.widthFor(d))
+		if !ok { // the dimension admits no row
+			return Cluster{}, false
 		}
-		if member {
-			rows = append(rows, r)
-		}
+		wins[i] = window{lo, span}
 	}
+	words := (len(remaining) + 63) / 64
+	marks := buf.marks[:words]
+	forEach(workers, (words+memberBlock-1)/memberBlock, func(_, b int) {
+		for k := b * memberBlock; k < min(words, (b+1)*memberBlock); k++ {
+			rows := remaining[64*k : min(len(remaining), 64*k+64)]
+			// The first dimension tests every row of the word, the others
+			// only the rows still in.
+			word := ^uint64(0) >> (64 - len(rows))
+			for i, d := range bestDims {
+				col, win := cols[d], wins[i]
+				for m := word; m != 0; m &= m - 1 {
+					j := bits.TrailingZeros64(m)
+					if keyOf(col[rows[j]])-win.lo > win.span {
+						word &^= 1 << j
+					}
+				}
+				if word == 0 {
+					break
+				}
+			}
+			marks[k] = word
+		}
+	})
+	rows := appendMarked(buf.rows[:0], marks, remaining)
 	// The size threshold is alpha*n on the full table, not the subsample's
 	// scaled support.
 	if len(rows) < minSup {
@@ -356,6 +433,7 @@ func bestClusterAround(cols [][]float64, remaining []int, cfg Config, minSup int
 	return Cluster{
 		Dims:   bestDims,
 		Rows:   slices.Clone(rows),
+		Size:   len(rows),
 		Box:    geom.Rect{Lo: lo, Hi: hi},
 		Medoid: bestMedoid,
 		Score:  float64(len(rows)) * pow(gain, len(bestDims)),

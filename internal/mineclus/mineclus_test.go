@@ -270,6 +270,47 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 	}
 }
 
+// TestRunIndependentOfWorkers requires the same clusters, to the bit, from
+// one worker (every phase inline), two, and three (which do not divide sky's
+// seven columns): the gather, the trials and the membership scan split
+// differently across workers, but the draws and the winner do not.
+func TestRunIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name string
+		tab  *dataset.Table
+	}{
+		{"sky", datagen.SkySim(0.02, 1).Table},
+		{"cross", datagen.Cross(1, 1).Table},
+	} {
+		cfg := DefaultConfig()
+		cfg.Seed = 1
+		cfg.Width, cfg.Widths = 0, openWidths(t, c.tab)
+		var want []Cluster
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			got, err := Run(c.tab, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				if want = got; len(want) == 0 {
+					t.Fatalf("%s: no clusters; the case checks nothing", c.name)
+				}
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d clusters at GOMAXPROCS %d, %d at 1", c.name, len(got), procs, len(want))
+			}
+			for i := range want {
+				if msg := clusterDiff(&got[i], &want[i]); msg != "" {
+					t.Errorf("%s: cluster %d at GOMAXPROCS %d against 1: %s", c.name, i, procs, msg)
+				}
+			}
+		}
+	}
+}
+
 // TestRunAllocations bounds what one Run on the end-to-end benchmark's sky
 // table allocates, with sthist.Open's widths: the extraction rounds reuse
 // their buffers instead of allocating a permutation, a subsample and a
@@ -300,7 +341,10 @@ func TestRunAllocations(t *testing.T) {
 //   - sky0.1: SkySim(0.1), 174,709 rows, far more than MaxTransactions, so
 //     every round mines a subsample;
 //   - particle: ParticleSim(0.01), 50,000 rows by 18 dimensions;
-//   - cross5d: CrossN(5, 0.05), 675,000 rows.
+//   - cross5d: CrossN(5, 0.05), 675,000 rows;
+//   - cross: Cross(1), 22,000 rows by 2 dimensions, the table of the
+//     end-to-end benchmark's ingest workload, where MineClus runs beside a
+//     longer k-d tree build.
 //
 // The cover pass runs on the AVX-512F kernel where the CPU has it and in Go
 // elsewhere, so the numbers of the two hosts do not compare.
@@ -313,6 +357,7 @@ func BenchmarkRun(b *testing.B) {
 		{"sky0.1", func() *dataset.Table { return datagen.SkySim(0.1, 1).Table }},
 		{"particle", func() *dataset.Table { return datagen.ParticleSim(0.01, 1).Table }},
 		{"cross5d", func() *dataset.Table { return datagen.CrossN(5, 0.05, 1).Table }},
+		{"cross", func() *dataset.Table { return datagen.Cross(1, 1).Table }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			tab := c.tab()

@@ -182,7 +182,12 @@ func New(domain geom.Rect, maxBuckets int, totalTuples float64) (*Histogram, err
 			return nil, fmt.Errorf("sthole: domain %v has an infinite bound on dimension %d", domain, d)
 		}
 	}
-	if domain.Volume() <= 0 {
+	// Finite bounds can still span a volume that overflows float64; every
+	// estimate would then divide by +Inf or NaN.
+	switch v := domain.Volume(); {
+	case math.IsInf(v, 0) || math.IsNaN(v):
+		return nil, fmt.Errorf("sthole: domain %v has volume %g, which is not finite", domain, v)
+	case v <= 0:
 		return nil, fmt.Errorf("sthole: domain %v has zero volume", domain)
 	}
 	h := &Histogram{

@@ -39,6 +39,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(rect2(0, 0, 0, 10), 5, 0); err == nil {
 		t.Error("zero-volume domain accepted")
 	}
+	// Finite bounds whose volume overflows: 2e200 · 2e200 is +Inf, and a
+	// zero side times an overflowed one is NaN.
+	for _, dom := range []geom.Rect{rect2(-1e200, -1e200, 1e200, 1e200), rect2(0, -math.MaxFloat64, 0, math.MaxFloat64)} {
+		if _, err := New(dom, 5, 0); err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("domain %v of volume %g: err = %v, want a volume that is not finite", dom, dom.Volume(), err)
+		}
+	}
 	h, err := New(dom, 5, 100)
 	if err != nil {
 		t.Fatal(err)

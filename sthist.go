@@ -320,6 +320,10 @@ func seed(hist *sthole.Histogram, tab *Table, domain Rect, opts Options) ([]Clus
 	if err := core.Initialize(hist, clusters, domain, core.Options{Count: count}); err != nil {
 		return nil, err
 	}
+	// Nothing after seeding reads the member lists; Size keeps their counts.
+	for i := range clusters {
+		clusters[i].Rows = nil
+	}
 	return clusters, nil
 }
 
@@ -816,9 +820,11 @@ func (e *Estimator) AdoptHistogram(h *sthole.Histogram) error {
 }
 
 // Clusters returns the subspace clusters used for initialization (nil when
-// initialization was skipped), in descending importance order. The slice is
-// fixed at Open and never mutated afterwards, so it is safe to read from any
-// goroutine while feedback continues.
+// initialization was skipped), in descending importance order. Each
+// cluster's Rows is nil: Open drops the member lists after seeding, and Size
+// holds each list's length. The slice is fixed at Open and never mutated
+// afterwards, so it is safe to read from any goroutine while feedback
+// continues.
 func (e *Estimator) Clusters() []Cluster { return e.clusters }
 
 // Domain returns the estimation domain. Fixed at Open; safe for concurrent

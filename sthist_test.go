@@ -297,6 +297,25 @@ func TestOpenRejectsInfiniteDomain(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsOverflowingVolume pins that a table of finite values
+// whose bounding box volume overflows float64 does not open: over a root
+// bucket of volume +Inf, every estimate is NaN, which JSON cannot encode.
+func TestOpenRejectsOverflowingVolume(t *testing.T) {
+	tab, err := NewTable("a", "b", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		tab.MustAppend([]float64{(2*rng.Float64() - 1) * 1e110, (2*rng.Float64() - 1) * 1e110, (2*rng.Float64() - 1) * 1e110})
+	}
+	for _, skip := range []bool{false, true} {
+		if _, err := Open(tab, Options{Buckets: 10, SkipInitialization: skip}); err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("skip=%v: Open over a table spanning ±1e110 on 3 columns: err = %v, want a volume that is not finite", skip, err)
+		}
+	}
+}
+
 func TestConcurrentEstimateAndFeedback(t *testing.T) {
 	tab := clusteredTable(t)
 	est, err := Open(tab, Options{Buckets: 40, Seed: 6})
